@@ -5,8 +5,9 @@ import repro.core.query.{RailgunParser, RailgunQuery}
 import repro.core.reservoir.ReservoirConfig
 import repro.messaging.{Consumer, MiniKafka, Producer, Record, TopicPartition}
 
-import java.nio.file.Path
+import java.nio.file.{Files, Path}
 import scala.collection.mutable
+import scala.util.{Failure, Success, Try}
 
 /** Metadata of a registered stream: its partitioner fields and schema. */
 final case class StreamMeta(name: String, partitioners: Seq[String],
@@ -22,7 +23,9 @@ object StreamMeta {
   * set of task processors, one per assigned (topic, partition). It has two
   * consumers — one in the shared active consumer group (exactly-one-owner
   * guarantee) and one manually assigned for replica tasks — plus an ops
-  * consumer for broadcast operational requests.
+  * consumer for broadcast operational requests. It alone creates, restores,
+  * promotes, demotes and positions its task processors; the cluster only
+  * copies a donor's checkpoint into [[taskDir]] and calls [[resume]].
   *
   * `runOnce()` is one iteration of the logical loop; the cluster drives it
   * deterministically in tests and benches.
@@ -42,28 +45,24 @@ final class ProcessorUnit(val unitId: String,
   opsConsumer.assign(Set(TopicPartition(opsTopic, 0)))
   private val producer: Producer = kafka.producer()
 
+  private val live = mutable.HashMap.empty[TopicPartition, TaskProcessor]
+  private val stale = mutable.HashMap.empty[TopicPartition, TaskProcessor]
   /** Live task processors, active or replica. */
-  val taskProcessors = mutable.HashMap.empty[TopicPartition, TaskProcessor]
+  def taskProcessors: collection.Map[TopicPartition, TaskProcessor] = live
   /** Task processors that lost their assignment but keep data ("stale"). */
-  val staleProcessors = mutable.HashMap.empty[TopicPartition, TaskProcessor]
+  def staleProcessors: collection.Map[TopicPartition, TaskProcessor] = stale
 
   private val streams = mutable.HashMap.empty[String, StreamMeta]
   private val queries = mutable.LinkedHashMap.empty[String, RailgunQuery]
 
   var messagesProcessed: Long = 0L
   var repliesSent: Long = 0L
+  /** Operational records skipped because they are not a valid request. */
+  var opsSkipped: Long = 0L
   var checkpointEveryEvents: Long = 512L
   private var sinceCheckpoint: Long = 0L
 
-  // promote an already-materialized task processor without reprocessing:
-  // on (re)gaining a partition, resume from the last applied offset
-  activeConsumer.onRebalance { (_, added) =>
-    added.foreach { tp =>
-      (taskProcessors.get(tp) orElse staleProcessors.get(tp)).foreach { proc =>
-        activeConsumer.seek(tp, proc.lastOffset + 1)
-      }
-    }
-  }
+  activeConsumer.onRebalance((_, added) => added.foreach(resume))
 
   def registerStream(meta: StreamMeta): Unit = streams(meta.name) = meta
 
@@ -77,16 +76,44 @@ final class ProcessorUnit(val unitId: String,
   def resubscribe(): Unit =
     activeConsumer.subscribe(streams.values.flatMap(_.topics).toSet)
 
+  /** The live or stale processor of `tp`: this unit's data for the task. */
+  def processorFor(tp: TopicPartition): Option[TaskProcessor] =
+    live.get(tp) orElse stale.get(tp)
+
+  /** Positions this unit's consumers of `tp` where its processor resumes
+    * (§4.2): after the last offset its live or stale processor applied;
+    * else after the offset of a checkpoint transferred into its directory,
+    * which it restores; else at the start of the log, replaying all of it.
+    */
+  def resume(tp: TopicPartition): Unit = {
+    val next = processorFor(tp) match {
+      case Some(proc) => proc.lastOffset + 1
+      case None if Files.exists(TaskProcessor.checkpointFile(taskDir(tp))) =>
+        val proc = openProcessor(tp)
+        val offset = proc.restoreFromCheckpoint()
+        live(tp) = proc
+        offset + 1
+      case None => 0L
+    }
+    if (activeConsumer.assignment.contains(tp)) activeConsumer.seek(tp, next)
+    if (replicaConsumer.assignment.contains(tp)) replicaConsumer.seek(tp, next)
+  }
+
+  /** Creates the processor of `tp` with the registered queries of its topic.
+    * Pending operational records are applied first: a processor restored
+    * from a checkpoint that met one of its queries only later, as a new one,
+    * would backfill that query's window on top of the restored state.
+    */
+  private def openProcessor(tp: TopicPartition): TaskProcessor = {
+    applyPendingOps()
+    val proc = new TaskProcessor(tp, taskDir(tp), reservoirConfig, streamOfTopic(tp.topic).schema)
+    queries.values.filter(q => StreamMeta.topic(q.stream, q.partitioner) == tp.topic)
+      .foreach(proc.addQuery)
+    proc
+  }
+
   private def ensureProcessor(tp: TopicPartition): TaskProcessor =
-    taskProcessors.getOrElseUpdate(tp, {
-      staleProcessors.remove(tp).getOrElse {
-        val meta = streamOfTopic(tp.topic)
-        val proc = new TaskProcessor(tp, taskDir(tp), reservoirConfig, meta.schema)
-        queries.values.filter(q => StreamMeta.topic(q.stream, q.partitioner) == tp.topic)
-          .foreach(proc.addQuery)
-        proc
-      }
-    })
+    live.getOrElseUpdate(tp, stale.remove(tp).getOrElse(openProcessor(tp)))
 
   def taskDir(tp: TopicPartition): Path =
     baseDir.resolve(unitId).resolve(s"${tp.topic}-${tp.partition}")
@@ -96,7 +123,7 @@ final class ProcessorUnit(val unitId: String,
     */
   def runOnce(maxPerPoll: Int = 256): Int = {
     // 1. operational requests (add/remove streams and metrics)
-    opsConsumer.poll(100).foreach(applyOp)
+    applyPendingOps()
     // 2.-3. poll active then replica tasks (actives prioritized)
     val activeMessages = activeConsumer.poll(maxPerPoll)
     val replicaMessages = replicaConsumer.poll(maxPerPoll)
@@ -104,13 +131,11 @@ final class ProcessorUnit(val unitId: String,
     var n = 0
     def handle(rec: Record, isActive: Boolean): Unit = {
       val tp = TopicPartition(rec.topic, rec.partition)
-      val proc = ensureProcessor(tp)
-      val results = proc.processRecord(rec)
+      val reply = ensureProcessor(tp).processRecord(rec)
       messagesProcessed += 1
       sinceCheckpoint += 1
       n += 1
       if (isActive) {
-        val reply = Codecs.Reply(Codecs.eventFromBytes(rec.value).id, rec.topic, results)
         producer.send(replyTopic, reply.eventId.toString, Codecs.replyToBytes(reply), rec.timestamp)
         repliesSent += 1
         activeConsumer.commit(tp, rec.offset + 1)
@@ -122,57 +147,52 @@ final class ProcessorUnit(val unitId: String,
     n
   }
 
-  private def applyOp(rec: Record): Unit = {
-    val text = new String(rec.value, "UTF-8")
-    val parts = text.split('\u0001')
-    parts(0) match {
-      case "ADDQ" =>
-        val q = RailgunParser.parse(parts(2), parts(1))
-        queries(q.name) = q
-        val topic = StreamMeta.topic(q.stream, q.partitioner)
-        taskProcessors.foreach { case (tp, proc) => if (tp.topic == topic) proc.addQuery(q) }
-      case "DELQ" =>
-        queries.remove(parts(1))
-        taskProcessors.values.foreach(_.removeQuery(parts(1)))
-      case other => throw new IllegalArgumentException(s"unknown op '$other'")
+  private def applyPendingOps(): Unit = {
+    var batch = opsConsumer.poll(100)
+    while (batch.nonEmpty) {
+      batch.foreach(applyOp)
+      batch = opsConsumer.poll(100)
     }
   }
 
-  /** Checkpoints every live task processor (offsets recorded inside). */
-  def checkpointAll(): Unit = taskProcessors.values.foreach(_.checkpoint())
-
-  /** Applies a replica-task plan for this unit: seeks new tasks, demotes
-    * removed ones to stale (data leftovers retained).
+  /** Applies one operational request to the registry and the live
+    * processors. A record that is not a valid request is skipped and counted.
     */
+  private def applyOp(rec: Record): Unit =
+    new String(rec.value, "UTF-8").split('\u0001') match {
+      case Array("ADDQ", name, sql) =>
+        Try(RailgunParser.parse(sql, name)) match {
+          case Success(q) =>
+            queries(q.name) = q
+            val topic = StreamMeta.topic(q.stream, q.partitioner)
+            live.foreach { case (tp, proc) => if (tp.topic == topic) proc.addQuery(q) }
+          case Failure(_) => opsSkipped += 1
+        }
+      case Array("DELQ", name) =>
+        queries.remove(name)
+        live.values.foreach(_.removeQuery(name))
+      case _ => opsSkipped += 1
+    }
+
+  /** Checkpoints every live task processor (offsets recorded inside). */
+  def checkpointAll(): Unit = live.values.foreach(_.checkpoint())
+
+  /** Applies this unit's replica-task plan and resumes each replica task. */
   def applyReplicaAssignment(tasks: Set[TopicPartition]): Unit = {
-    val current = replicaConsumer.assignment
-    val activeTasks = activeConsumer.assignment
-    val removed = current -- tasks
     replicaConsumer.assign(tasks)
-    tasks.foreach { tp =>
-      (taskProcessors.get(tp) orElse staleProcessors.get(tp)).foreach { proc =>
-        replicaConsumer.seek(tp, proc.lastOffset + 1)
-      }
-    }
-    removed.foreach { tp =>
-      if (!activeTasks.contains(tp))
-        taskProcessors.remove(tp).foreach(p => staleProcessors(tp) = p)
-    }
+    tasks.foreach(resume)
   }
 
   /** Demotes task processors that are neither active nor replica to stale. */
   def demoteUnassigned(): Unit = {
     val owned = activeConsumer.assignment ++ replicaConsumer.assignment
-    val toDemote = taskProcessors.keySet.toSet -- owned
-    toDemote.foreach { tp =>
-      taskProcessors.remove(tp).foreach(p => staleProcessors(tp) = p)
-    }
+    (live.keySet.toSet -- owned).foreach(tp => stale(tp) = live.remove(tp).get)
   }
 
   def close(): Unit = {
     activeConsumer.close()
     replicaConsumer.close()
     opsConsumer.close()
-    (taskProcessors.values ++ staleProcessors.values).foreach(_.close())
+    (live.values ++ stale.values).foreach(_.close())
   }
 }

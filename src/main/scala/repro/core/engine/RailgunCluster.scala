@@ -28,7 +28,6 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
   private val done = mutable.HashMap.empty[Long, Seq[MetricResult]]
 
   var eventsPublished: Long = 0L
-  var messagesRouted: Long = 0L
 
   def registerStream(meta: StreamMeta): Unit = streams(meta.name) = meta
 
@@ -43,7 +42,6 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
     collected(e.id) = mutable.ArrayBuffer.empty
     meta.partitioners.foreach { p =>
       producer.send(meta.topicFor(p), e.str(p), bytes, e.ts)
-      messagesRouted += 1
     }
     eventsPublished += 1
     meta.partitioners.size
@@ -95,7 +93,6 @@ final class RailgunCluster(val kafka: MiniKafka,
 
   private val nodes = mutable.LinkedHashMap.empty[String, mutable.ArrayBuffer[ProcessorUnit]]
   private val streams = mutable.LinkedHashMap.empty[String, StreamMeta]
-  private val queries = mutable.LinkedHashMap.empty[String, RailgunQuery]
 
   /** Assignment memory feeding stickiness: what each unit held previously. */
   private def priorState(): PriorState = {
@@ -152,52 +149,23 @@ final class RailgunCluster(val kafka: MiniKafka,
 
   /** After any rebalance: push the replica plan to units, demote unassigned
     * processors to stale, and run recovery transfers for assignments landing
-    * on processors without local data (§4.2).
+    * on processors without local data (§4.2): the unit restores the copied
+    * checkpoint and replays the log from its offset. A unit with no donor
+    * already replays from the start.
     */
   private def afterRebalance(): Unit = {
     assignor.lastResult.foreach { result =>
-      val unitsById = allUnits.map(u => u.unitId -> u).toMap
-      // replica plan (replica consumers are manually assigned)
       allUnits.foreach { u =>
         u.applyReplicaAssignment(result.replica.getOrElse(u.unitId, Set.empty))
       }
       allUnits.foreach(_.demoteUnassigned())
-      // recovery: copy data from a surviving holder where needed
       result.needsRecovery.foreach { case (unitId, task) =>
-        unitsById.get(unitId).foreach { unit =>
-          if (!unit.taskProcessors.contains(task) && !unit.staleProcessors.contains(task)) {
-            val donor = allUnits.find(u =>
-              u.unitId != unitId &&
-                (u.taskProcessors.contains(task) || u.staleProcessors.contains(task)))
-            donor.foreach { d =>
-              val dProc = d.taskProcessors.get(task).orElse(d.staleProcessors.get(task)).get
-              dProc.copyCheckpointTo(unit.taskDir(task))
-              recoveries += ((unitId, task))
-            }
-          }
-        }
-      }
-      // restore any transferred checkpoints and seek consumers; a processor
-      // with no local data and no donor rewinds the log and replays from 0
-      allUnits.foreach { u =>
-        (u.activeConsumer.assignment ++ u.replicaConsumer.assignment).foreach { tp =>
-          if (!u.taskProcessors.contains(tp) && !u.staleProcessors.contains(tp)) {
-            if (java.nio.file.Files.exists(u.taskDir(tp).resolve("checkpoint.bin"))) {
-              val meta = streams.values.find(_.topics.contains(tp.topic))
-              meta.foreach { m =>
-                val proc = new TaskProcessor(tp, u.taskDir(tp), reservoirConfig, m.schema)
-                queries.values
-                  .filter(q => StreamMeta.topic(q.stream, q.partitioner) == tp.topic)
-                  .foreach(proc.addQuery)
-                val offset = proc.restoreFromCheckpoint()
-                u.taskProcessors(tp) = proc
-                if (u.activeConsumer.assignment.contains(tp)) u.activeConsumer.seek(tp, offset + 1)
-                if (u.replicaConsumer.assignment.contains(tp)) u.replicaConsumer.seek(tp, offset + 1)
-              }
-            } else {
-              if (u.activeConsumer.assignment.contains(tp)) u.activeConsumer.seek(tp, 0L)
-              if (u.replicaConsumer.assignment.contains(tp)) u.replicaConsumer.seek(tp, 0L)
-            }
+        allUnits.find(_.unitId == unitId).filter(_.processorFor(task).isEmpty).foreach { unit =>
+          val donor = allUnits.iterator.filter(_ ne unit).flatMap(_.processorFor(task)).nextOption()
+          donor.foreach { d =>
+            d.copyCheckpointTo(unit.taskDir(task))
+            recoveries += ((unitId, task))
+            unit.resume(task)
           }
         }
       }
@@ -223,15 +191,12 @@ final class RailgunCluster(val kafka: MiniKafka,
     require(streams.contains(q.stream), s"stream ${q.stream} not registered")
     require(streams(q.stream).partitioners.contains(q.partitioner),
       s"partitioner ${q.partitioner} not configured for stream ${q.stream}")
-    queries(q.name) = q
     producer.send(opsTopic, q.name, s"ADDQ${q.name}$sql".getBytes("UTF-8"))
     q
   }
 
-  def removeQuery(name: String): Unit = {
-    queries.remove(name)
+  def removeQuery(name: String): Unit =
     producer.send(opsTopic, name, s"DELQ$name".getBytes("UTF-8"))
-  }
 
   // ---- event flow -----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 package repro.core.engine
 
 import repro.core.model.{Event, FieldDef}
-import repro.core.plan.{MetricResult, TaskPlan}
+import repro.core.plan.TaskPlan
 import repro.core.query.RailgunQuery
 import repro.core.reservoir.{AppendOutcome, EventReservoir, ReservoirConfig, SchemaRegistry}
 import repro.core.statestore.LsmStore
@@ -49,15 +49,15 @@ final class TaskProcessor(val task: TopicPartition,
   }
 
   /** Applies one record: append to the reservoir (deduplicating), advance
-    * the plan, and return the aggregation results for the event. Duplicate
-    * deliveries (at-least-once replays) do not advance state — they answer
-    * from current values, giving exactly-once *effects*.
+    * the plan, and return the event's reply: its id and aggregation results.
+    * Duplicate deliveries (at-least-once replays) do not advance state — they
+    * answer from current values, giving exactly-once *effects*.
     */
-  def processRecord(rec: Record): Seq[MetricResult] = {
+  def processRecord(rec: Record): Codecs.Reply = {
     val event = Codecs.eventFromBytes(rec.value)
     val outcome = reservoir.append(event)
     lastOffset = math.max(lastOffset, rec.offset)
-    outcome match {
+    val results = outcome match {
       case AppendOutcome.Duplicate =>
         duplicatesSeen += 1
         plan.currentValues(event)
@@ -70,6 +70,7 @@ final class TaskProcessor(val task: TopicPartition,
         eventsProcessed += 1
         plan.onEvent(event)
     }
+    Codecs.Reply(event.id, rec.topic, results)
   }
 
   def iteratorCount: Int = plan.iteratorCount
@@ -79,7 +80,7 @@ final class TaskProcessor(val task: TopicPartition,
 
   // ---- checkpoint / recovery ----------------------------------------------
 
-  private def checkpointPath: Path = dir.resolve("checkpoint.bin")
+  private def checkpointPath: Path = TaskProcessor.checkpointFile(dir)
 
   /** Synchronized checkpoint of reservoir + state store + offset (§4.1.3:
     * checkpoint triggers are synchronized among the two stores).
@@ -97,15 +98,13 @@ final class TaskProcessor(val task: TopicPartition,
     lastOffset
   }
 
-  def hasCheckpoint: Boolean = Files.exists(checkpointPath)
-
   /** Restores this processor's state from its directory's checkpoint (after
     * the directory has been populated locally or copied from a donor).
     * Returns the checkpointed offset; the caller rewinds the messaging layer
     * to offset+1 and replays.
     */
   def restoreFromCheckpoint(): Long = {
-    require(hasCheckpoint, s"no checkpoint in $dir")
+    require(Files.exists(checkpointPath), s"no checkpoint in $dir")
     reservoir.close()
     store.close()
     val in = new DataInputStream(new BufferedInputStream(
@@ -129,7 +128,7 @@ final class TaskProcessor(val task: TopicPartition,
     Files.createDirectories(destDir)
     repro.core.reservoir.ChunkStore.copyFiles(dir.resolve("reservoir"), destDir.resolve("reservoir"))
     LsmStore.copyFiles(dir.resolve("state"), destDir.resolve("state"))
-    Files.copy(checkpointPath, destDir.resolve("checkpoint.bin"),
+    Files.copy(checkpointPath, TaskProcessor.checkpointFile(destDir),
       java.nio.file.StandardCopyOption.REPLACE_EXISTING)
   }
 
@@ -137,4 +136,9 @@ final class TaskProcessor(val task: TopicPartition,
     reservoir.close()
     store.close()
   }
+}
+
+object TaskProcessor {
+  /** The checkpoint manifest of the task processor whose directory is `dir`. */
+  def checkpointFile(dir: Path): Path = dir.resolve("checkpoint.bin")
 }

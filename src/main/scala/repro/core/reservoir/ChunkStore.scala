@@ -26,8 +26,7 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
   private var writer: FileChannel = openFile(currentFileId)
   private val readers = mutable.HashMap.empty[Long, FileChannel]
 
-  /** Bytes written to disk, pre- and post-compression (storage accounting). */
-  var rawBytes: Long = 0L
+  /** Bytes written to disk, post-compression (storage accounting). */
   var storedBytes: Long = 0L
 
   private def filePath(fileId: Long): Path = dir.resolve(f"f-$fileId%06d.dat")
@@ -53,7 +52,6 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
       chunk.schemaId, chunk.firstTs, chunk.lastTs, chunk.size)
     currentOffset += bytes.length
     currentFileChunks += 1
-    rawBytes += chunk.size.toLong * 32 // approx uncompressed event footprint
     storedBytes += bytes.length
     require(metas.isEmpty || metas.last.chunkId == chunk.chunkId - 1,
       s"chunks must be persisted in order: got ${chunk.chunkId} after ${metas.lastOption.map(_.chunkId)}")
@@ -88,26 +86,8 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
     }
   }
 
-  def firstChunkId: Option[Long] = synchronized(metas.headOption.map(_.chunkId))
-  def lastChunkId: Option[Long] = synchronized(metas.lastOption.map(_.chunkId))
   def persistedChunks: Int = synchronized(metas.size)
   def fileCount: Long = synchronized(currentFileId + 1)
-
-  /** Timestamp index: id of the first persisted chunk whose events may
-    * include `ts` or later, i.e. the last chunk with firstTs <= ts (or the
-    * first chunk overall if ts precedes everything).
-    */
-  def chunkIdForTs(ts: Long): Option[Long] = synchronized {
-    if (metas.isEmpty) None
-    else {
-      var lo = 0; var hi = metas.size - 1; var ans = 0
-      while (lo <= hi) {
-        val mid = (lo + hi) / 2
-        if (metas(mid).firstTs <= ts) { ans = mid; lo = mid + 1 } else hi = mid - 1
-      }
-      Some(metas(ans).chunkId)
-    }
-  }
 
   def writeManifest(out: DataOutputStream): Unit = synchronized {
     writer.force(true)

@@ -101,6 +101,4 @@ final class ReservoirIterator(res: EventReservoir,
     }
     None
   }
-
-  def currentChunkId: Long = chunkId
 }

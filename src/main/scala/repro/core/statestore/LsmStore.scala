@@ -173,10 +173,6 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     segments.foreach(s => out.writeLong(s.id))
   }
 
-  def entryCountEstimate: Long = synchronized {
-    memtable.size.toLong + segments.iterator.map(_.keys.length.toLong).sum
-  }
-
   def segmentCount: Int = synchronized(segments.size)
 
   def close(): Unit = ()

@@ -175,6 +175,52 @@ class RailgunClusterSpec extends AnyFunSuite {
     cluster.close()
   }
 
+  test("a joined node restores transferred tasks with their queries and takes over") {
+    val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 2)
+    cluster.addQuery("qc",
+      "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    cluster.addQuery("qm", "SELECT count(*) FROM payments GROUP BY merchantId OVER sliding 300 ms")
+    val events = mkEvents(200, seed = 13)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    val byMerchant = TestKit.bruteSliding(events, 300, _.str("merchantId"))
+    events.zipWithIndex.foreach { case (e, i) =>
+      if (i == 80) {
+        cluster.addNode("late", 1)
+        val lateUnits = cluster.allUnits.filter(_.nodeId == "late").map(_.unitId).toSet
+        assert(cluster.recoveries.exists { case (unitId, _) => lateUnits(unitId) },
+          s"no checkpoint transfer to the joined node: ${cluster.recoveries}")
+      }
+      if (i == 140) { cluster.failNode("node0"); cluster.failNode("node1") }
+      val r = cluster.process("payments", e)
+      def value(q: String, agg: String) = r.find(x => x.query == q && x.agg == agg).get.value
+      assert(value("qc", "count(*)").contains(TestKit.count(byCard(i))), s"card count @ $i")
+      assert(TestKit.approxEq(value("qc", "sum(amount)"), TestKit.sum(byCard(i), "amount")),
+        s"card sum @ $i")
+      assert(value("qm", "count(*)").contains(TestKit.count(byMerchant(i))), s"merchant count @ $i")
+    }
+    cluster.close()
+  }
+
+  test("malformed operational records are skipped and counted; answers stay exact") {
+    val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
+    cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    val events = mkEvents(120, seed = 17)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    val ops = cluster.kafka.producer()
+    events.zipWithIndex.foreach { case (e, i) =>
+      if (i == 40) {
+        ops.send(cluster.opsTopic, "garbage", Array[Byte](0, -1, 42, 7))
+        ops.send(cluster.opsTopic, "bad", "ADDQ\u0001bad\u0001SELECT nonsense".getBytes("UTF-8"))
+      }
+      val r = cluster.process("payments", e)
+      assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
+      assert(TestKit.approxEq(r.find(_.agg == "sum(amount)").get.value,
+        TestKit.sum(byCard(i), "amount")), s"sum @ $i")
+    }
+    cluster.allUnits.foreach(u => assert(u.opsSkipped == 2, s"${u.unitId} skipped ${u.opsSkipped}"))
+    cluster.close()
+  }
+
   test("adding a metric mid-stream backfills from the reservoir (operational request)") {
     val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
     cluster.addQuery("q1", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 500 ms")

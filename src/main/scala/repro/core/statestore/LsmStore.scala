@@ -1,7 +1,9 @@
 package repro.core.statestore
 
-import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
-import java.nio.file.{Files, Path}
+import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, EOFException, FileInputStream, FileOutputStream}
+import java.nio.ByteBuffer
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, StandardOpenOption}
 import scala.collection.mutable
 
 /** Embedded LSM-style key-value store — the reproduction's stand-in for
@@ -10,10 +12,23 @@ import scala.collection.mutable
   * Same shape as the paper's usage: column families, point get/put/delete,
   * prefix iteration (for countDistinct auxiliary data), cheap checkpoints
   * (only the memtable needs flushing), and restore-from-checkpoint for task
-  * recovery. Writes land in an in-memory memtable; when it exceeds
-  * `memtableLimit` entries it is flushed to a sorted, immutable segment
-  * file. Reads check the memtable then segments newest-first. Segments are
-  * merge-compacted when they pile up.
+  * recovery.
+  *
+  * Every entry has one flat key, `cf + '\u0000' + key`, whose natural
+  * `String` order is the (column family, key) order. Writes land in a hash
+  * memtable; when it reaches `memtableLimit` entries its keys are sorted
+  * once and flushed to an immutable segment file. For each segment the store
+  * keeps in memory the sorted key array, each entry's file offsets and value
+  * length, a Bloom filter, and one open read channel. A point read checks
+  * the memtable, then the segments newest-first: the filter and a binary
+  * search decide in memory whether a segment holds the key, and only a hit
+  * reads its value from the file. When more than `maxSegments` segments pile
+  * up, a k-way merge of their key arrays (newest wins, tombstones dropped)
+  * copies each live entry's bytes unchanged into one new segment.
+  *
+  * A segment that the last checkpoint manifest lists stays on disk until the
+  * next checkpoint supersedes that manifest, so a checkpoint stays
+  * restorable however many compactions follow it.
   *
   * Substitution note (DESIGN.md §3): what matters for the paper's argument
   * is the *number of state accesses per event* — O(windowSize/hop) for
@@ -21,188 +36,292 @@ import scala.collection.mutable
   * in this repo pay them through this same store.
   */
 final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int = 8) {
+  import LsmStore.{Tombstone, flatKey}
+
   Files.createDirectories(dir)
 
-  private type Key = (String, String) // (column family, key)
-  private implicit val keyOrd: Ordering[Key] = Ordering.Tuple2(Ordering.String, Ordering.String)
-
-  /** value = Some(bytes) | None (tombstone) */
-  private val memtable = mutable.TreeMap.empty[Key, Option[Array[Byte]]]
+  /** flat key -> value bytes, or `Tombstone` for a delete */
+  private val memtable = new java.util.HashMap[String, Array[Byte]]()
   private val segments = mutable.ArrayBuffer.empty[Segment] // newest last
   private var nextSegmentId: Long = 0L
+  /** Segment ids the last checkpoint manifest lists. */
+  private var checkpointed: Set[Long] = Set.empty
+  /** Compacted-away segments that the last manifest still lists. */
+  private val superseded = mutable.ArrayBuffer.empty[Path]
 
   var gets: Long = 0L
   var puts: Long = 0L
   var flushes: Long = 0L
   var compactions: Long = 0L
+  /** Value reads that touched a segment file. */
+  var segmentReads: Long = 0L
 
-  private final class Segment(val id: Long) {
-    val path: Path = dir.resolve(f"seg-$id%08d.sst")
-    // sparse in-memory index: full key list is fine at our scale
-    var keys: Array[Key] = Array.empty
-    var offsets: Array[Long] = Array.empty
+  private def segmentPath(id: Long): Path = dir.resolve(f"seg-$id%08d.sst")
 
-    def write(entries: Iterator[(Key, Option[Array[Byte]])]): Unit = {
-      val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile)))
-      val ks = mutable.ArrayBuffer.empty[Key]
-      val offs = mutable.ArrayBuffer.empty[Long]
-      var off = 0L
-      entries.foreach { case ((cf, k), v) =>
-        ks += ((cf, k)); offs += off
-        val before = out.size()
-        out.writeUTF(cf); out.writeUTF(k)
-        v match {
-          case Some(bytes) => out.writeInt(bytes.length); out.write(bytes)
-          case None        => out.writeInt(-1)
-        }
-        off += out.size() - before
-      }
-      out.close()
-      keys = ks.toArray; offsets = offs.toArray
-    }
+  /** An immutable segment file and its in-memory index. Entry `i` (the
+    * i-th smallest key) starts at byte `starts(i)`; its value is
+    * `valueLens(i)` bytes at `valueOffsets(i)`, or a tombstone if the length
+    * is negative. The file is `size` bytes long.
+    */
+  private final class Segment(val id: Long, val keys: Array[String], val starts: Array[Long],
+                              val valueOffsets: Array[Long], val valueLens: Array[Int], val size: Long) {
+    val path: Path = segmentPath(id)
+    private val bloom = new BloomFilter(keys)
+    private val channel = FileChannel.open(path, StandardOpenOption.READ)
 
-    def lookup(key: Key): Option[Option[Array[Byte]]] = {
-      val idx = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]],
-        key.asInstanceOf[AnyRef], keyOrd.asInstanceOf[java.util.Comparator[AnyRef]])
-      if (idx < 0) None
+    /** Index of `key`, or -1; `hash` is `key.hashCode`. */
+    def indexOf(key: String, hash: Int): Int =
+      if (!bloom.mightContain(hash)) -1
       else {
-        val in = new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
-        try {
-          var skipped = 0L
-          while (skipped < offsets(idx)) skipped += in.skip(offsets(idx) - skipped)
-          in.readUTF(); in.readUTF()
-          val len = in.readInt()
-          if (len < 0) Some(None)
-          else {
-            val bytes = new Array[Byte](len); in.readFully(bytes); Some(Some(bytes))
-          }
-        } finally in.close()
+        val i = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]], key)
+        if (i < 0) -1 else i
+      }
+
+    /** Index of the first key >= `key`. */
+    def lowerBound(key: String): Int = {
+      val i = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]], key)
+      if (i < 0) -i - 1 else i
+    }
+
+    def entryLength(i: Int): Long = (if (i + 1 < starts.length) starts(i + 1) else size) - starts(i)
+
+    /** The value of entry `i`, or None for a tombstone. */
+    def value(i: Int): Option[Array[Byte]] =
+      if (valueLens(i) < 0) None
+      else {
+        segmentReads += 1
+        val bytes = new Array[Byte](valueLens(i))
+        val buf = ByteBuffer.wrap(bytes)
+        while (buf.hasRemaining)
+          if (channel.read(buf, valueOffsets(i) + buf.position()) < 0) throw new EOFException(path.toString)
+        Some(bytes)
+      }
+
+    def close(): Unit = channel.close()
+  }
+
+  /** Writes a new segment file entry by entry while recording its index. */
+  private final class SegmentWriter(capacity: Int) {
+    val id: Long = nextSegmentId
+    nextSegmentId += 1
+    private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(segmentPath(id).toFile)))
+    private val keys = new Array[String](capacity)
+    private val starts = new Array[Long](capacity)
+    private val valueOffsets = new Array[Long](capacity)
+    private val valueLens = new Array[Int](capacity)
+    private var n = 0
+
+    private def record(key: String, start: Long, valueOffset: Long, valueLen: Int): Unit = {
+      keys(n) = key; starts(n) = start; valueOffsets(n) = valueOffset; valueLens(n) = valueLen
+      n += 1
+    }
+
+    /** Encodes one entry: `writeUTF(cf)`, `writeUTF(key)`, `int len` (-1 for
+      * a tombstone), value bytes.
+      */
+    def write(key: String, value: Array[Byte]): Unit = {
+      val start = out.size()
+      val sep = key.indexOf('\u0000')
+      out.writeUTF(key.substring(0, sep)); out.writeUTF(key.substring(sep + 1))
+      if (value eq Tombstone) {
+        out.writeInt(-1); record(key, start, out.size(), -1)
+      } else {
+        out.writeInt(value.length); record(key, start, out.size(), value.length)
+        out.write(value)
       }
     }
 
-    def readAll(): Iterator[(Key, Option[Array[Byte]])] = {
-      val in = new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
-      val buf = mutable.ArrayBuffer.empty[(Key, Option[Array[Byte]])]
-      try {
-        keys.indices.foreach { _ =>
-          val cf = in.readUTF(); val k = in.readUTF()
-          val len = in.readInt()
-          val v = if (len < 0) None else { val b = new Array[Byte](len); in.readFully(b); Some(b) }
-          buf += (((cf, k), v))
-        }
-      } finally in.close()
-      buf.iterator
+    /** Appends entry `i` of `src`, whose encoded bytes are `bytes(0 until len)`. */
+    def copy(src: Segment, i: Int, bytes: Array[Byte], len: Int): Unit = {
+      val start = out.size()
+      record(src.keys(i), start, start + src.valueOffsets(i) - src.starts(i), src.valueLens(i))
+      out.write(bytes, 0, len)
     }
 
-    def delete(): Unit = Files.deleteIfExists(path)
+    def finish(): Segment = {
+      val size = out.size()
+      out.close()
+      new Segment(id, java.util.Arrays.copyOf(keys, n), java.util.Arrays.copyOf(starts, n),
+        java.util.Arrays.copyOf(valueOffsets, n), java.util.Arrays.copyOf(valueLens, n), size)
+    }
   }
 
   def put(cf: String, key: String, value: Array[Byte]): Unit = synchronized {
     puts += 1
-    memtable.update((cf, key), Some(value))
+    memtable.put(flatKey(cf, key), value)
     if (memtable.size >= memtableLimit) flush()
   }
 
   def delete(cf: String, key: String): Unit = synchronized {
     puts += 1
-    memtable.update((cf, key), None)
+    memtable.put(flatKey(cf, key), Tombstone)
     if (memtable.size >= memtableLimit) flush()
   }
 
   def get(cf: String, key: String): Option[Array[Byte]] = synchronized {
     gets += 1
-    memtable.get((cf, key)) match {
-      case Some(v) => v
-      case None =>
-        var i = segments.size - 1
-        while (i >= 0) {
-          segments(i).lookup((cf, key)) match {
-            case Some(v) => return v
-            case None    => i -= 1
-          }
+    val k = flatKey(cf, key)
+    val m = memtable.get(k)
+    if (m ne null) { if (m eq Tombstone) None else Some(m) }
+    else {
+      val hash = k.hashCode
+      var i = segments.size - 1
+      var idx = -1
+      while (idx < 0 && i >= 0) {
+        idx = segments(i).indexOf(k, hash)
+        if (idx < 0) i -= 1
+      }
+      if (idx < 0) None else segments(i).value(idx)
+    }
+  }
+
+  /** Visits, in key order, the newest version (segment index, entry index)
+    * of every live segment entry whose key is at least `from` and satisfies
+    * `inRange`; stops at the first key that does not. Tombstones hide older
+    * versions and are not visited.
+    */
+  private def mergeSegments(from: String, inRange: String => Boolean)(visit: (Int, Int) => Unit): Unit = {
+    val n = segments.size
+    val pos = Array.tabulate(n)(i => segments(i).lowerBound(from))
+    var done = false
+    while (!done) {
+      var min: String = null
+      var win = -1
+      var i = n - 1 // newest first: on equal keys the newest segment wins
+      while (i >= 0) {
+        val s = segments(i)
+        if (pos(i) < s.keys.length) {
+          val k = s.keys(pos(i))
+          if ((min eq null) || k.compareTo(min) < 0) { min = k; win = i }
         }
-        None
+        i -= 1
+      }
+      if ((min eq null) || !inRange(min)) done = true
+      else {
+        if (segments(win).valueLens(pos(win)) >= 0) visit(win, pos(win))
+        i = 0
+        while (i < n) {
+          val ks = segments(i).keys
+          if (pos(i) < ks.length && ks(pos(i)) == min) pos(i) += 1
+          i += 1
+        }
+      }
     }
   }
 
   /** All live (cf, key) entries with the given key prefix — merged view. */
   def scanPrefix(cf: String, prefix: String): Seq[(String, Array[Byte])] = synchronized {
-    val merged = mutable.TreeMap.empty[Key, Option[Array[Byte]]]
-    segments.foreach(s => s.readAll().foreach { case (k, v) => merged.update(k, v) })
-    memtable.foreach { case (k, v) => merged.update(k, v) }
-    merged.iterator.collect {
-      case ((c, k), Some(v)) if c == cf && k.startsWith(prefix) => (k, v)
-    }.toSeq
+    val from = flatKey(cf, prefix)
+    val merged = new java.util.TreeMap[String, Array[Byte]]()
+    mergeSegments(from, _.startsWith(from)) { (si, i) =>
+      val s = segments(si)
+      merged.put(s.keys(i), s.value(i).get)
+    }
+    memtable.forEach { (k, v) =>
+      if (k.startsWith(from)) { if (v eq Tombstone) merged.remove(k) else merged.put(k, v) }
+    }
+    val out = Vector.newBuilder[(String, Array[Byte])]
+    merged.forEach((k, v) => out += ((k.substring(cf.length + 1), v)))
+    out.result()
   }
 
   /** Flushes the memtable to a new sorted segment. */
   def flush(): Unit = synchronized {
-    if (memtable.nonEmpty) {
-      val seg = new Segment(nextSegmentId); nextSegmentId += 1
-      seg.write(memtable.iterator)
-      segments += seg
+    if (!memtable.isEmpty) {
+      val keys = memtable.keySet.toArray(new Array[String](0))
+      java.util.Arrays.sort(keys.asInstanceOf[Array[AnyRef]])
+      val w = new SegmentWriter(keys.length)
+      keys.foreach(k => w.write(k, memtable.get(k)))
+      segments += w.finish()
       memtable.clear()
       flushes += 1
       if (segments.size > maxSegments) compact()
     }
   }
 
-  /** Merges all segments into one (newest value wins, tombstones dropped). */
+  /** Merges all segments into one (newest value wins, tombstones dropped),
+    * copying each live entry's encoded bytes from its source file.
+    */
   def compact(): Unit = synchronized {
     if (segments.size > 1) {
-      val merged = mutable.TreeMap.empty[Key, Option[Array[Byte]]]
-      segments.foreach(s => s.readAll().foreach { case (k, v) => merged.update(k, v) })
-      val live = merged.iterator.filter(_._2.isDefined)
-      val seg = new Segment(nextSegmentId); nextSegmentId += 1
-      seg.write(live)
-      segments.foreach(_.delete())
+      val w = new SegmentWriter(segments.iterator.map(_.keys.length).sum)
+      // each source is read sequentially: the merge visits its entries in file order
+      val readers = segments.map(s => new DataInputStream(
+        new BufferedInputStream(new FileInputStream(s.path.toFile), 1 << 16)))
+      val readPos = new Array[Long](segments.size)
+      var buf = new Array[Byte](256)
+      try {
+        mergeSegments("", _ => true) { (si, i) =>
+          val s = segments(si)
+          readers(si).skipNBytes(s.starts(i) - readPos(si))
+          val len = s.entryLength(i).toInt
+          if (len > buf.length) buf = new Array[Byte](math.max(len, buf.length * 2))
+          readers(si).readFully(buf, 0, len)
+          readPos(si) = s.starts(i) + len
+          w.copy(s, i, buf, len)
+        }
+      } finally readers.foreach(_.close())
+      val merged = w.finish()
+      segments.foreach { s =>
+        s.close()
+        if (checkpointed(s.id)) superseded += s.path else Files.deleteIfExists(s.path)
+      }
       segments.clear()
-      segments += seg
+      segments += merged
       compactions += 1
     }
   }
 
   /** Checkpoint: flush, then record the live segment list in a manifest.
     * Cheap by design — only memtable contents hit disk (cf. the paper's
-    * observation that RocksDB checkpoints are efficient).
+    * observation that RocksDB checkpoints are efficient). Segments that only
+    * the previous manifest listed are deleted once the new list is written.
     */
   def checkpoint(out: DataOutputStream): Unit = synchronized {
     flush()
     out.writeLong(nextSegmentId)
     out.writeInt(segments.size)
     segments.foreach(s => out.writeLong(s.id))
+    out.flush()
+    superseded.foreach(Files.deleteIfExists)
+    superseded.clear()
+    checkpointed = segments.iterator.map(_.id).toSet
   }
 
   def segmentCount: Int = synchronized(segments.size)
 
-  def close(): Unit = ()
+  /** Closes the segments' read channels. */
+  def close(): Unit = synchronized(segments.foreach(_.close()))
 
   private def restoreFrom(in: DataInputStream): Unit = synchronized {
     memtable.clear(); segments.clear()
     nextSegmentId = in.readLong()
     val n = in.readInt()
-    (0 until n).foreach { _ =>
-      val seg = new Segment(in.readLong())
-      // rebuild the in-memory key index by scanning the segment file,
-      // tracking byte offsets with a counting stream
-      val ks = mutable.ArrayBuffer.empty[Key]
-      val offs = mutable.ArrayBuffer.empty[Long]
-      val counting = new CountingInputStream(
-        new BufferedInputStream(new FileInputStream(seg.path.toFile)))
-      val fin = new DataInputStream(counting)
-      try {
-        val total = Files.size(seg.path)
-        while (counting.count < total) {
-          offs += counting.count
-          val cf = fin.readUTF(); val k = fin.readUTF()
-          ks += ((cf, k))
-          val len = fin.readInt()
-          if (len > 0) fin.skipBytes(len)
-        }
-      } finally fin.close()
-      seg.keys = ks.toArray; seg.offsets = offs.toArray
-      segments += seg
-    }
+    (0 until n).foreach(_ => segments += indexSegment(in.readLong()))
+    checkpointed = segments.iterator.map(_.id).toSet
+  }
+
+  /** Rebuilds a segment's in-memory index by scanning its file, tracking byte
+    * offsets with a counting stream.
+    */
+  private def indexSegment(id: Long): Segment = {
+    val path = segmentPath(id)
+    val total = Files.size(path)
+    val keys = Array.newBuilder[String]
+    val starts, valueOffsets = Array.newBuilder[Long]
+    val valueLens = Array.newBuilder[Int]
+    val counting = new CountingInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
+    val fin = new DataInputStream(counting)
+    try {
+      while (counting.count < total) {
+        starts += counting.count
+        keys += flatKey(fin.readUTF(), fin.readUTF())
+        val len = fin.readInt()
+        valueOffsets += counting.count; valueLens += len
+        if (len > 0) fin.skipBytes(len)
+      }
+    } finally fin.close()
+    new Segment(id, keys.result(), starts.result(), valueOffsets.result(), valueLens.result(), total)
   }
 }
 
@@ -217,7 +336,63 @@ private final class CountingInputStream(in: java.io.InputStream) extends java.io
   override def close(): Unit = in.close()
 }
 
+/** Bloom filter over a segment's keys, about `BitsPerKey` bits per key and
+  * `Hashes` probes derived from `String.hashCode` by double hashing.
+  */
+private[core] final class BloomFilter(keys: Array[String]) {
+  import BloomFilter._
+
+  private val bits = new Array[Long](math.max(1, (keys.length.toLong * BitsPerKey + 63) / 64).toInt)
+  private val numBits = bits.length.toLong * 64
+  keys.foreach(k => add(k.hashCode))
+
+  private def add(hash: Int): Unit = {
+    val h = mix(hash)
+    var c = h
+    var j = 0
+    while (j < Hashes) {
+      val b = (c & Long.MaxValue) % numBits
+      bits((b >>> 6).toInt) |= 1L << b
+      c += h >>> 32 | 1L
+      j += 1
+    }
+  }
+
+  /** False means the key is certainly absent; `hash` is `key.hashCode`. */
+  def mightContain(hash: Int): Boolean = {
+    val h = mix(hash)
+    var c = h
+    var j = 0
+    while (j < Hashes) {
+      val b = (c & Long.MaxValue) % numBits
+      if ((bits((b >>> 6).toInt) & (1L << b)) == 0) return false
+      c += h >>> 32 | 1L
+      j += 1
+    }
+    true
+  }
+}
+
+private[core] object BloomFilter {
+  val BitsPerKey = 10
+  val Hashes = 7
+
+  /** MurmurHash3's 64-bit finalizer: spreads a 32-bit hash over 64 bits. */
+  private def mix(hash: Int): Long = {
+    var x = hash.toLong
+    x ^= x >>> 33; x *= 0xff51afd7ed558ccdL
+    x ^= x >>> 33; x *= 0xc4ceb9fe1a85ec53L
+    x ^ (x >>> 33)
+  }
+}
+
 object LsmStore {
+  /** Memtable value marking a delete (compared by reference). */
+  private val Tombstone = new Array[Byte](0)
+
+  /** `cf + '\u0000' + key`: ordered like the (cf, key) pair. */
+  private def flatKey(cf: String, key: String): String = cf + '\u0000' + key
+
   /** Restores a store from a checkpoint manifest over an existing (or copied)
     * data directory.
     */

@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
-import repro.core.statestore.LsmStore
+import repro.core.statestore.{BloomFilter, LsmStore}
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 import java.nio.charset.StandardCharsets.UTF_8
@@ -104,23 +104,69 @@ class LsmStoreSpec extends AnyFunSuite {
 
   test("random op sequences match an in-memory model (property)") {
     val genOp: Gen[(Int, String, String)] = for {
-      op <- Gen.chooseNum(0, 2) // 0 put, 1 delete, 2 (checkpointing handled separately)
+      // 0 put, 1 delete, 2 flush, 3 compact, 4 checkpoint + restore a fresh store
+      op <- Gen.frequency(5 -> 0, 2 -> 1, 1 -> 2, 1 -> 3, 1 -> 4)
       k <- Gen.chooseNum(0, 30).map(i => s"k$i")
       v <- Gen.alphaNumStr.map(_.take(8))
     } yield (op, k, v)
     TestKit.checkProp(Prop.forAll(Gen.listOfN(120, genOp)) { ops =>
-      val st = new LsmStore(TestKit.tempDir("lsm-prop"), memtableLimit = 7, maxSegments = 3)
+      val dir = TestKit.tempDir("lsm-prop")
+      var st = new LsmStore(dir, memtableLimit = 7, maxSegments = 3)
       val model = collection.mutable.Map.empty[String, String]
       ops.foreach {
         case (0, k, v) => st.put("cf", k, b(v)); model(k) = v
         case (1, k, _) => st.delete("cf", k); model.remove(k)
-        case (_, _, _) => st.flush()
+        case (2, _, _) => st.flush()
+        case (3, _, _) => st.compact()
+        case (_, _, _) =>
+          val bos = new ByteArrayOutputStream()
+          st.checkpoint(new DataOutputStream(bos))
+          st.close()
+          st = LsmStore.restore(dir, new DataInputStream(new ByteArrayInputStream(bos.toByteArray)),
+            memtableLimit = 7, maxSegments = 3)
       }
-      (0 to 30).forall { i =>
-        val k = s"k$i"
-        st.get("cf", k).map(s) == model.get(k)
-      }
+      val scanned = st.scanPrefix("cf", "k1").map { case (k, v) => (k, s(v)) }
+      scanned == model.toSeq.filter(_._1.startsWith("k1")).sorted &&
+        (0 to 30).forall { i =>
+          val k = s"k$i"
+          st.get("cf", k).map(s) == model.get(k)
+        }
     }, minSuccessful = 25)
+  }
+
+  test("a checkpoint stays restorable after later flushes compact its segments") {
+    val dir = TestKit.tempDir("lsm-ckpt-compact")
+    val st = new LsmStore(dir, memtableLimit = 4, maxSegments = 2)
+    (1 to 10).foreach(i => st.put("cf", s"k$i", b(s"v$i")))
+    val bos = new ByteArrayOutputStream()
+    st.checkpoint(new DataOutputStream(bos))
+    val compactionsAtCheckpoint = st.compactions
+    (1 to 20).foreach(i => st.put("cf", s"k$i", b(s"w$i")))
+    assert(st.compactions > compactionsAtCheckpoint)
+    val re = LsmStore.restore(dir, new DataInputStream(new ByteArrayInputStream(bos.toByteArray)))
+    (1 to 10).foreach(i => assert(re.get("cf", s"k$i").map(s).contains(s"v$i")))
+    (11 to 20).foreach(i => assert(re.get("cf", s"k$i").isEmpty))
+  }
+
+  test("absent keys read no segment file; a key only in the oldest segment costs one read") {
+    val st = new LsmStore(TestKit.tempDir("lsm"), memtableLimit = 1000, maxSegments = 8)
+    (0 until 8).foreach { seg =>
+      (0 until 500).foreach(i => st.put("cf", s"s$seg-k$i", b(s"v$seg-$i")))
+      st.flush()
+    }
+    assert(st.segmentCount == 8)
+    val before = st.segmentReads
+    (0 until 10000).foreach(i => assert(st.get("cf", s"absent$i").isEmpty))
+    assert(st.segmentReads - before <= (0.02 * 10000 * 8).toLong)
+    val beforeHit = st.segmentReads
+    assert(st.get("cf", "s0-k7").map(s).contains("v0-7"))
+    assert(st.segmentReads - beforeHit == 1)
+    // the per-segment filter alone rejects almost every absent key
+    val keys = (0 until 500).map(i => s"cf\u0000s0-k$i").toArray
+    val bloom = new BloomFilter(keys)
+    assert(keys.forall(k => bloom.mightContain(k.hashCode)))
+    val falsePositives = (0 until 10000).count(i => bloom.mightContain(s"cf\u0000absent$i".hashCode))
+    assert(falsePositives <= 0.02 * 10000)
   }
 
   test("gets/puts counters track the paper's access-pattern accounting") {

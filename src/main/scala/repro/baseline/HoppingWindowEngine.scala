@@ -42,12 +42,6 @@ final class HoppingWindowEngine(store: LsmStore,
   private def key(groupKey: String, windowStart: Long, agg: AggSpec): String =
     s"$groupKey|$windowStart|${agg.label}"
 
-  private def aggValue(e: Event, spec: AggSpec): Any = spec.kind match {
-    case AggKind.Count         => 1.0
-    case AggKind.CountDistinct => e.str(spec.field.get)
-    case _                     => e.num(spec.field.get)
-  }
-
   /** Active physical window starts containing ts. */
   def activeStarts(ts: Long): Seq[Long] = {
     val last = math.floorDiv(ts, hopMs) * hopMs
@@ -74,7 +68,7 @@ final class HoppingWindowEngine(store: LsmStore,
       aggs.foreach { a =>
         val k = key(groupKey, ws, a)
         val st = store.get(cf, k).map(AggState.fromBytes).getOrElse(AggState.init(a.kind))
-        st.insert(aggValue(e, a))
+        st.insert(a.valueOf(e))
         store.put(cf, k, AggState.toBytes(st))
         stateOps += 2
       }

@@ -164,7 +164,7 @@ object AggState {
 
   /** countDistinct — per-value reference counts (the paper keeps these in an
     * auxiliary RocksDB column family; here they are part of the serialized
-    * state and the engine's state store charges for the extra accesses).
+    * state, cached and persisted like every other kind's).
     */
   final class CountDistinctState(val counts: mutable.HashMap[String, Long] = mutable.HashMap.empty)
       extends AggState {

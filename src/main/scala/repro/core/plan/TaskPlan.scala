@@ -1,6 +1,6 @@
 package repro.core.plan
 
-import repro.core.agg.{AggKind, AggState}
+import repro.core.agg.AggState
 import repro.core.model.Event
 import repro.core.query._
 import repro.core.reservoir.{EventReservoir, ReservoirIterator}
@@ -17,24 +17,28 @@ final case class MetricResult(query: String, agg: String, value: Option[Any])
   * (cf. §4.1.3: "RocksDB data is only kept in-memory for a short period of
   * time, and is frequently persisted to disk"). [[flush]] persists every
   * dirty state; checkpoints call it so the store stays the durable truth.
+  * States live in the store's `agg` column family; at most `Capacity` of
+  * them stay cached.
   */
-final class AggStateCache(store: LsmStore, cf: String, capacity: Int = 1 << 16) {
+final class AggStateCache(store: LsmStore) {
+  import AggStateCache.{Capacity, Cf}
+
   private val map = new java.util.LinkedHashMap[String, AggState](256, 0.75f, true) {
     override def removeEldestEntry(e: java.util.Map.Entry[String, AggState]): Boolean = {
-      if (size() > capacity) { persist(e.getKey, e.getValue); true } else false
+      if (size() > Capacity) { persist(e.getKey, e.getValue); true } else false
     }
   }
   private val dirty = mutable.HashSet.empty[String]
 
   private def persist(k: String, st: AggState): Unit = {
-    if (dirty.remove(k)) store.put(cf, k, AggState.toBytes(st))
+    if (dirty.remove(k)) store.put(Cf, k, AggState.toBytes(st))
   }
 
   def get(k: String, init: => AggState): AggState = {
     val cached = map.get(k)
     if (cached != null) cached
     else {
-      val st = store.get(cf, k).map(AggState.fromBytes).getOrElse(init)
+      val st = store.get(Cf, k).map(AggState.fromBytes).getOrElse(init)
       map.put(k, st)
       st
     }
@@ -44,7 +48,7 @@ final class AggStateCache(store: LsmStore, cf: String, capacity: Int = 1 << 16) 
     val cached = map.get(k)
     if (cached != null) Some(cached)
     else {
-      val st = store.get(cf, k).map(AggState.fromBytes)
+      val st = store.get(Cf, k).map(AggState.fromBytes)
       st.foreach(map.put(k, _))
       st
     }
@@ -56,33 +60,28 @@ final class AggStateCache(store: LsmStore, cf: String, capacity: Int = 1 << 16) 
   def flush(): Unit = {
     dirty.toSeq.foreach { k =>
       val st = map.get(k)
-      if (st != null) store.put(cf, k, AggState.toBytes(st))
+      if (st != null) store.put(Cf, k, AggState.toBytes(st))
     }
     dirty.clear()
   }
 }
 
+object AggStateCache {
+  private val Cf = "agg"
+  private val Capacity = 1 << 16
+}
+
 /** A leaf of the plan DAG: one aggregation whose per-entity state lives in
   * the state store, one key per (metric, entity) — mirroring the paper's
-  * RocksDB layout (§4.1.3). countDistinct additionally keeps per-value
-  * reference counts in an auxiliary column family, as the paper does.
+  * RocksDB layout (§4.1.3) — and is read and written through the cache.
   */
-private final class AggLeaf(val metricId: String, val spec: AggSpec,
-                            store: LsmStore, cache: AggStateCache) {
-  private val cf = "agg"
-  private val cdCf = "cd" // countDistinct auxiliary column family
+private final class AggLeaf(val metricId: String, val spec: AggSpec, cache: AggStateCache) {
 
   private def stateKey(entity: String, bucket: Option[Long]): String =
     bucket match {
       case Some(b) => s"$metricId|$entity|$b"
       case None    => s"$metricId|$entity"
     }
-
-  private def aggValue(e: Event): Any = spec.kind match {
-    case AggKind.Count         => 1.0
-    case AggKind.CountDistinct => e.str(spec.field.get)
-    case _                     => e.num(spec.field.get)
-  }
 
   def insert(entity: String, e: Event, bucket: Option[Long]): Unit =
     update(entity, e, bucket, isInsert = true)
@@ -92,41 +91,17 @@ private final class AggLeaf(val metricId: String, val spec: AggSpec,
 
   private def update(entity: String, e: Event, bucket: Option[Long], isInsert: Boolean): Unit = {
     val k = stateKey(entity, bucket)
-    if (spec.kind == AggKind.CountDistinct) {
-      // refcount the value in the auxiliary CF; the main key holds the count
-      val v = aggValue(e).toString
-      val rcKey = s"$k|$v"
-      val rc = store.get(cdCf, rcKey).map(bytesToLong).getOrElse(0L)
-      val newRc = if (isInsert) rc + 1 else rc - 1
-      require(newRc >= 0, s"countDistinct refcount underflow for $rcKey")
-      if (newRc == 0) store.delete(cdCf, rcKey) else store.put(cdCf, rcKey, longToBytes(newRc))
-      val delta = (if (isInsert && rc == 0) 1L else 0L) + (if (!isInsert && newRc == 0) -1L else 0L)
-      if (delta != 0) {
-        val cur = store.get(cf, k).map(bytesToLong).getOrElse(0L)
-        store.put(cf, k, longToBytes(cur + delta))
-      }
-    } else {
-      val st = cache.get(k, AggState.init(spec.kind))
-      if (isInsert) st.insert(aggValue(e)) else st.evict(aggValue(e))
-      cache.markDirty(k)
+    val st = cache.get(k, AggState.init(spec.kind))
+    if (isInsert) st.insert(spec.valueOf(e)) else st.evict(spec.valueOf(e))
+    cache.markDirty(k)
+  }
+
+  /** The aggregate, or the empty window's answer when the entity has no state. */
+  def value(entity: String, bucket: Option[Long]): Option[Any] =
+    cache.lookup(stateKey(entity, bucket)) match {
+      case Some(st) => st.value
+      case None     => AggState.init(spec.kind).value
     }
-  }
-
-  def value(entity: String, bucket: Option[Long]): Option[Any] = {
-    val k = stateKey(entity, bucket)
-    if (spec.kind == AggKind.CountDistinct)
-      Some(store.get(cf, k).map(bytesToLong).getOrElse(0L))
-    else
-      cache.lookup(k) match {
-        case Some(st) => st.value
-        case None     => if (spec.kind == AggKind.Count) Some(0L) else None
-      }
-  }
-
-  private def longToBytes(l: Long): Array[Byte] = {
-    val b = java.nio.ByteBuffer.allocate(8); b.putLong(l); b.array()
-  }
-  private def bytesToLong(a: Array[Byte]): Long = java.nio.ByteBuffer.wrap(a).getLong
 }
 
 /** A shared (Window, Filter, GroupBy) prefix node of the DAG with its leaf
@@ -167,7 +142,7 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
                      store: LsmStore,
                      backfillFor: Set[String] = Set.empty) {
 
-  private val stateCache = new AggStateCache(store, "agg")
+  private val stateCache = new AggStateCache(store)
 
   /** Persists every dirty cached aggregation state (checkpoint barrier). */
   def flushState(): Unit = stateCache.flush()
@@ -180,7 +155,7 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
         new PrefixNode(q.window, q.filterSource, q.filter, q.groupBy))
       q.aggs.foreach { a =>
         val metricId = s"${q.name}:${a.label}"
-        node.leaves += ((q.name, new AggLeaf(metricId, a, store, stateCache)))
+        node.leaves += ((q.name, new AggLeaf(metricId, a, stateCache)))
       }
     }
     m.values.toVector

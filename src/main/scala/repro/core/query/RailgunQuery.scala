@@ -1,10 +1,20 @@
 package repro.core.query
 
 import repro.core.agg.AggKind
+import repro.core.model.Event
 
 /** One aggregation of a SELECT list: e.g. sum(amount), count(). */
 final case class AggSpec(kind: AggKind, field: Option[String]) {
   def label: String = s"${kind.name}(${field.getOrElse("*")})"
+
+  /** What an event feeds into this aggregation's state: a unit for count,
+    * the field's string form for countDistinct, else the numeric field.
+    */
+  def valueOf(e: Event): Any = kind match {
+    case AggKind.Count         => 1.0
+    case AggKind.CountDistinct => e.str(field.get)
+    case _                     => e.num(field.get)
+  }
 }
 
 /** Window expressions of the Railgun language (Fig. 4). Hopping windows are

@@ -88,17 +88,4 @@ final class ReservoirIterator(res: EventReservoir,
       }
     }
   }
-
-  /** Timestamp of the next available event, if one is ready. */
-  def peekTs: Option[Long] = {
-    var cid = chunkId
-    while (res.chunkExists(cid)) {
-      val (events, isFinal) = res.readChunkEvents(cid)
-      val i = if (cid == chunkId) startIndex(events) else 0
-      if (i < events.size) return Some(events(i).ts)
-      if (!(isFinal && res.chunkExists(cid + 1))) return None
-      cid += 1
-    }
-    None
-  }
 }

@@ -10,9 +10,8 @@ import scala.collection.mutable
   * RocksDB (§4.1.3).
   *
   * Same shape as the paper's usage: column families, point get/put/delete,
-  * prefix iteration (for countDistinct auxiliary data), cheap checkpoints
-  * (only the memtable needs flushing), and restore-from-checkpoint for task
-  * recovery.
+  * cheap checkpoints (only the memtable needs flushing), and
+  * restore-from-checkpoint for task recovery.
   *
   * Every entry has one flat key, `cf + '\u0000' + key`, whose natural
   * `String` order is the (column family, key) order. Writes land in a hash
@@ -76,12 +75,6 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
         val i = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]], key)
         if (i < 0) -1 else i
       }
-
-    /** Index of the first key >= `key`. */
-    def lowerBound(key: String): Int = {
-      val i = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]], key)
-      if (i < 0) -i - 1 else i
-    }
 
     def entryLength(i: Int): Long = (if (i + 1 < starts.length) starts(i + 1) else size) - starts(i)
 
@@ -176,13 +169,12 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   }
 
   /** Visits, in key order, the newest version (segment index, entry index)
-    * of every live segment entry whose key is at least `from` and satisfies
-    * `inRange`; stops at the first key that does not. Tombstones hide older
-    * versions and are not visited.
+    * of every live segment entry. Tombstones hide older versions and are not
+    * visited.
     */
-  private def mergeSegments(from: String, inRange: String => Boolean)(visit: (Int, Int) => Unit): Unit = {
+  private def mergeSegments(visit: (Int, Int) => Unit): Unit = {
     val n = segments.size
-    val pos = Array.tabulate(n)(i => segments(i).lowerBound(from))
+    val pos = new Array[Int](n)
     var done = false
     while (!done) {
       var min: String = null
@@ -196,7 +188,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
         }
         i -= 1
       }
-      if ((min eq null) || !inRange(min)) done = true
+      if (min eq null) done = true
       else {
         if (segments(win).valueLens(pos(win)) >= 0) visit(win, pos(win))
         i = 0
@@ -207,22 +199,6 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
         }
       }
     }
-  }
-
-  /** All live (cf, key) entries with the given key prefix — merged view. */
-  def scanPrefix(cf: String, prefix: String): Seq[(String, Array[Byte])] = synchronized {
-    val from = flatKey(cf, prefix)
-    val merged = new java.util.TreeMap[String, Array[Byte]]()
-    mergeSegments(from, _.startsWith(from)) { (si, i) =>
-      val s = segments(si)
-      merged.put(s.keys(i), s.value(i).get)
-    }
-    memtable.forEach { (k, v) =>
-      if (k.startsWith(from)) { if (v eq Tombstone) merged.remove(k) else merged.put(k, v) }
-    }
-    val out = Vector.newBuilder[(String, Array[Byte])]
-    merged.forEach((k, v) => out += ((k.substring(cf.length + 1), v)))
-    out.result()
   }
 
   /** Flushes the memtable to a new sorted segment. */
@@ -251,7 +227,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       val readPos = new Array[Long](segments.size)
       var buf = new Array[Byte](256)
       try {
-        mergeSegments("", _ => true) { (si, i) =>
+        mergeSegments { (si, i) =>
           val s = segments(si)
           readers(si).skipNBytes(s.starts(i) - readPos(si))
           val len = s.entryLength(i).toInt

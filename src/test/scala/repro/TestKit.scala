@@ -1,6 +1,7 @@
 package repro
 
 import org.scalacheck.{Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import repro.core.model.Event
 import repro.core.query.JexlLite
 
@@ -12,12 +13,28 @@ import java.nio.file.{Files, Path}
 object TestKit {
 
   /** Runs a ScalaCheck property and fails the ScalaTest assertion if it
-    * does not pass (no scalatestplus bridge in the offline jar set).
+    * does not pass (no scalatestplus bridge in the offline jar set). The
+    * seed is drawn here and reported on failure, with the shrunk and the
+    * original arguments, so the run can be replayed by passing
+    * `Seed.fromBase64(reported).get` to `withInitialSeed`.
     */
   def checkProp(prop: Prop, minSuccessful: Int = 60): Unit = {
-    val params = SCTest.Parameters.default.withMinSuccessfulTests(minSuccessful)
+    val seed = Seed.random()
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(minSuccessful).withInitialSeed(seed)
     val result = SCTest.check(params, prop)
-    assert(result.passed, s"property failed: ${result.status}")
+    assert(result.passed, s"property failed with seed ${seed.toBase64}: ${describe(result.status)}")
+  }
+
+  private def describe(status: SCTest.Status): String = {
+    def args(as: List[Prop.Arg[Any]]): String = as.zipWithIndex.map { case (a, i) =>
+      val label = if (a.label.isEmpty) s"ARG_$i" else a.label
+      s"$label: shrunk=${a.arg} original=${a.origArg} (${a.shrinks} shrinks)"
+    }.mkString("; ")
+    status match {
+      case SCTest.Failed(as, labels)           => s"falsified by [${args(as)}] labels=$labels"
+      case SCTest.PropException(as, e, labels) => s"threw $e on [${args(as)}] labels=$labels"
+      case other                               => other.toString
+    }
   }
 
   def tempDir(prefix: String): Path = {

@@ -148,16 +148,6 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
-  test("peekTs exposes the next event's timestamp without consuming") {
-    val r = mkReservoir()
-    (0 until 10).foreach(i => r.append(mkEvent(i.toLong, i.toLong * 5)))
-    val it = r.iterator()
-    assert(it.peekTs.contains(0L))
-    it.advanceTo(6)
-    assert(it.peekTs.contains(10L))
-    r.close()
-  }
-
   // ---- dedup / out-of-order --------------------------------------------------
 
   test("duplicate event ids are dropped against in-memory chunks") {

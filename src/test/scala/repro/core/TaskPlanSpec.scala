@@ -75,7 +75,7 @@ class TaskPlanSpec extends AnyFunSuite {
 
   test("sliding countDistinct(merchantId) per card matches brute force") {
     val events = randomEvents(250, seed = 99)
-    val query = q("SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 40 ms", "cd")
+    val query = q("SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 40 ms", "distinct")
     val (_, out, _, _) = run(Seq(query), events)
     val windows = TestKit.bruteSliding(events, 40, _.str("cardId"))
     events.indices.foreach { i =>
@@ -265,7 +265,7 @@ class TaskPlanSpec extends AnyFunSuite {
   test("plan rebuild without backfill preserves existing query state") {
     val events = randomEvents(200, seed = 66)
     val (res, store) = fixture()
-    val query = q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 80 ms", "keep")
+    val query = q("SELECT count(*), countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 80 ms", "keep")
     var plan = new TaskPlan(Seq(query), res, store)
     val (a, b) = events.splitAt(100)
     a.foreach { e => res.append(e); plan.onEvent(e) }
@@ -274,8 +274,22 @@ class TaskPlanSpec extends AnyFunSuite {
     val out = b.map { e => res.append(e); plan.onEvent(e) }
     val windows = TestKit.bruteSliding(events, 80, _.str("cardId"))
     b.indices.foreach { i =>
-      assert(out(i).head.value.contains(TestKit.count(windows(100 + i))), s"event ${100 + i}")
+      val w = windows(100 + i)
+      assert(out(i).find(_.agg == "count(*)").get.value.contains(TestKit.count(w)), s"event ${100 + i}")
+      assert(out(i).find(_.agg == "countDistinct(merchantId)").get.value
+        .contains(TestKit.countDistinct(w, "merchantId")), s"event ${100 + i} countDistinct")
     }
+  }
+
+  test("countDistinct costs the same state-store accesses as count(*)") {
+    val events = randomEvents(300, seed = 88)
+    def storeAccesses(aggSql: String): (Long, Long) = {
+      val (plan, _, _, store) =
+        run(Seq(q(s"SELECT $aggSql FROM payments GROUP BY cardId OVER sliding 50 ms", "acc")), events)
+      plan.flushState()
+      (store.gets, store.puts)
+    }
+    assert(storeAccesses("countDistinct(merchantId)") == storeAccesses("count(*)"))
   }
 
   test("plan advances windows for keys other than the arriving event's") {

@@ -123,7 +123,8 @@ class RailgunClusterSpec extends AnyFunSuite {
 
   test("failure without replicas: state recovers from checkpoint + log replay") {
     val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
-    cluster.addQuery("q", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 400 ms")
+    cluster.addQuery("q",
+      "SELECT count(*), countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 400 ms")
     val events = mkEvents(150, seed = 21)
     val byCard = TestKit.bruteSliding(events, 400, _.str("cardId"))
     val (before, after) = events.splitAt(80)
@@ -135,6 +136,8 @@ class RailgunClusterSpec extends AnyFunSuite {
       val r = cluster.process("payments", e)
       assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(idx))),
         s"post-fail @ $idx (recovered from log replay)")
+      assert(r.find(_.agg == "countDistinct(merchantId)").get.value
+        .contains(TestKit.countDistinct(byCard(idx), "merchantId")), s"post-fail countDistinct @ $idx")
     }
     cluster.close()
   }

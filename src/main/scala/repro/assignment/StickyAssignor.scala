@@ -121,9 +121,8 @@ final class StickyAssignor(replicationFactor: Int) {
 }
 
 /** Adapter exposing the Railgun strategy as a MiniKafka [[GroupAssignor]]
-  * for the active-task consumer group: cluster state (locality, prior
-  * active/replica/stale tasks) travels in the members' metadata, as it does
-  * in Kafka's real protocol.
+  * for the active-task consumer group: locality comes from the members'
+  * node ids, and the prior active/replica/stale tasks from `priorProvider`.
   */
 final class RailgunGroupAssignor(replicationFactor: Int,
                                  priorProvider: () => PriorState)

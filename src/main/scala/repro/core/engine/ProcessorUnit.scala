@@ -155,8 +155,9 @@ final class ProcessorUnit(val unitId: String,
     }
   }
 
-  /** Applies one operational request to the registry and the live
-    * processors. A record that is not a valid request is skipped and counted.
+  /** Applies one operational request to the registry and to every live and
+    * stale processor, so a stale one promoted later answers the current
+    * queries. A record that is not a valid request is skipped and counted.
     */
   private def applyOp(rec: Record): Unit =
     new String(rec.value, "UTF-8").split('\u0001') match {
@@ -165,12 +166,12 @@ final class ProcessorUnit(val unitId: String,
           case Success(q) =>
             queries(q.name) = q
             val topic = StreamMeta.topic(q.stream, q.partitioner)
-            live.foreach { case (tp, proc) => if (tp.topic == topic) proc.addQuery(q) }
+            (live ++ stale).foreach { case (tp, proc) => if (tp.topic == topic) proc.addQuery(q) }
           case Failure(_) => opsSkipped += 1
         }
       case Array("DELQ", name) =>
         queries.remove(name)
-        live.values.foreach(_.removeQuery(name))
+        (live.values ++ stale.values).foreach(_.removeQuery(name))
       case _ => opsSkipped += 1
     }
 

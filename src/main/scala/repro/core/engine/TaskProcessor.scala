@@ -25,7 +25,6 @@ final class TaskProcessor(val task: TopicPartition,
   private var reservoir = new EventReservoir(dir.resolve("reservoir"), reservoirConfig, registry)
   private var store = new LsmStore(dir.resolve("state"))
 
-  private var queries: Vector[RailgunQuery] = Vector.empty
   private var plan: TaskPlan = new TaskPlan(Nil, reservoir, store)
 
   /** Offset of the last record applied to this task's state. */
@@ -33,19 +32,15 @@ final class TaskProcessor(val task: TopicPartition,
   var eventsProcessed: Long = 0L
   var duplicatesSeen: Long = 0L
 
-  def currentQueries: Seq[RailgunQuery] = queries
-
   /** Registers a metric; its window is backfilled from the reservoir. */
-  def addQuery(q: RailgunQuery): Unit = if (!queries.exists(_.name == q.name)) {
-    queries :+= q
+  def addQuery(q: RailgunQuery): Unit = if (!plan.queries.exists(_.name == q.name)) {
     plan.flushState() // the new plan's state cache starts cold
-    plan = new TaskPlan(queries, reservoir, store, backfillFor = Set(q.name))
+    plan = new TaskPlan(plan.queries :+ q, reservoir, store, backfillFor = Set(q.name))
   }
 
   def removeQuery(name: String): Unit = {
-    queries = queries.filterNot(_.name == name)
     plan.flushState()
-    plan = new TaskPlan(queries, reservoir, store)
+    plan = new TaskPlan(plan.queries.filterNot(_.name == name), reservoir, store)
   }
 
   /** Applies one record: append to the reservoir (deduplicating), advance
@@ -115,7 +110,7 @@ final class TaskProcessor(val task: TopicPartition,
       reservoir = EventReservoir.restore(dir.resolve("reservoir"), reservoirConfig, in)
       registry = reservoir.registry
       store = LsmStore.restore(dir.resolve("state"), in)
-      plan = new TaskPlan(queries, reservoir, store)
+      plan = new TaskPlan(plan.queries, reservoir, store)
     } finally in.close()
     lastOffset
   }

@@ -46,6 +46,4 @@ final case class Event(id: Long, ts: Long, values: Map[String, Any]) {
     case Some(v) => v.toString
     case None    => throw new NoSuchElementException(s"field $field missing in event $id")
   }
-
-  def has(field: String): Boolean = values.contains(field)
 }

@@ -40,8 +40,6 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
     loaded
   }
 
-  def contains(chunkId: Long): Boolean = lock.synchronized(map.containsKey(chunkId))
-
   private def put(chunkId: Long, c: Chunk): Unit = lock.synchronized {
     if (!map.containsKey(chunkId)) {
       map.put(chunkId, c)

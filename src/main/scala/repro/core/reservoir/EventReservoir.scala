@@ -3,7 +3,7 @@ package repro.core.reservoir
 import repro.core.model.Event
 
 import java.io.{DataInputStream, DataOutputStream}
-import java.util.concurrent.{ExecutorService, Executors, TimeUnit}
+import java.util.concurrent.{ExecutorService, Executors}
 import scala.collection.mutable
 
 /** What happened to an appended event. */
@@ -107,10 +107,12 @@ final class EventReservoir(val dir: java.nio.file.Path,
   private val dedupSets = mutable.ArrayDeque.empty[(Long, mutable.HashSet[Long])]
   dedupSets.append((openId, mutable.HashSet.empty[Long]))
 
-  private var persistPool: ExecutorService = newPool()
-  private def newPool(): ExecutorService = Executors.newSingleThreadExecutor { r =>
+  /** The one persist thread; writes run in chunk-id order. */
+  private val persistPool: ExecutorService = Executors.newSingleThreadExecutor { r =>
     val t = new Thread(r, s"reservoir-persist"); t.setDaemon(true); t
   }
+  /** First write that failed; its chunk never leaves `pending`. */
+  @volatile private var persistFailure: Option[Throwable] = None
 
   var duplicates: Long = 0L
   var lateDiscarded: Long = 0L
@@ -118,8 +120,6 @@ final class EventReservoir(val dir: java.nio.file.Path,
 
   def totalEvents: Long = synchronized(total)
   def maxTimestamp: Long = synchronized(maxSeenTs)
-  /** Id of the current open chunk (also the max chunk id that exists). */
-  def openChunkId: Long = synchronized(openId)
 
   // ---- append -----------------------------------------------------------
 
@@ -189,8 +189,8 @@ final class EventReservoir(val dir: java.nio.file.Path,
     while (dedupSets.size > 1 + transition.size + config.dedupRecentChunks)
       dedupSets.removeHead()
     persistPool.execute { () =>
-      store.persist(chunk)
-      EventReservoir.this.synchronized { pending.remove(cid) }
+      try { store.persist(chunk); EventReservoir.this.synchronized { pending.remove(cid) } }
+      catch { case t: Throwable => if (persistFailure.isEmpty) persistFailure = Some(t) }
     }
   }
 
@@ -211,17 +211,13 @@ final class EventReservoir(val dir: java.nio.file.Path,
         }
       }
     }
-    quiescePersist()
+    drainIo()
   }
 
-  /** Waits for the asynchronous persister to drain (measurement hygiene). */
-  def drainIo(): Unit = quiescePersist()
-
-  private def quiescePersist(): Unit = {
-    val old = persistPool
-    old.shutdown()
-    old.awaitTermination(60, TimeUnit.SECONDS)
-    persistPool = newPool()
+  /** Waits for every submitted write, then rethrows the first that failed. */
+  def drainIo(): Unit = {
+    persistPool.submit(new Runnable { def run(): Unit = () }).get()
+    persistFailure.foreach(t => throw t)
   }
 
   // ---- reads ------------------------------------------------------------
@@ -323,10 +319,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
     dedupSets.append((openId, mutable.HashSet.empty[Long]))
   }
 
-  def close(): Unit = {
-    flush()
-    store.close()
-  }
+  def close(): Unit = try flush() finally { persistPool.shutdown(); store.close() }
 }
 
 object EventReservoir {

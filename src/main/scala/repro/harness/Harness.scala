@@ -41,14 +41,13 @@ object Harness {
   /** One dedicated task-processor stack (reservoir + state store + plan). */
   final class Stack(queriesSql: Seq[(String, String)],
                     chunkSize: Int = 4096,
-                    cacheChunks: Int = 220,
-                    memtableLimit: Int = 1 << 16) {
+                    cacheChunks: Int = 220) {
     val dir = Files.createTempDirectory("bench-railgun")
     private val registry = new SchemaRegistry
     registry.register(Payments.schemaFields)
     val reservoir = new EventReservoir(dir.resolve("res"),
       ReservoirConfig(chunkSizeEvents = chunkSize, cacheChunks = cacheChunks), registry)
-    val store = new LsmStore(dir.resolve("st"), memtableLimit = memtableLimit)
+    val store = new LsmStore(dir.resolve("st"))
     val plan = new TaskPlan(queriesSql.map { case (n, s) => RailgunParser.parse(s, n) },
       reservoir, store)
 

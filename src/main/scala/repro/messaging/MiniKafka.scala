@@ -22,9 +22,7 @@ trait GroupAssignor {
   * identity, physical-node locality, and the member's previous assignment
   * (enables stickiness).
   */
-final case class MemberInfo(clientId: String, nodeId: String,
-                            previous: Set[TopicPartition],
-                            userData: Map[String, String] = Map.empty)
+final case class MemberInfo(clientId: String, nodeId: String, previous: Set[TopicPartition])
 
 /** Default Kafka-like sticky assignor: keep previous owner when possible,
   * round-robin the rest by least load.
@@ -68,7 +66,6 @@ final class MiniKafka {
   private final class Group(val id: String) {
     var assignor: GroupAssignor = DefaultStickyAssignor
     val members = mutable.LinkedHashMap.empty[String, Consumer]
-    var generation: Int = 0
   }
   private val groups = mutable.HashMap.empty[String, Group]
 
@@ -163,14 +160,13 @@ final class MiniKafka {
 
   private def rebalance(g: Group): Unit = {
     rebalances += 1
-    g.generation += 1
     val subscribedTopics = g.members.values.flatMap(_.subscription).toSet
     // topics subscribed before creation contribute no partitions yet
     val parts = subscribedTopics.toSeq.sorted.flatMap { t =>
       (0 until topics.getOrElse(t, 0)).map(p => TopicPartition(t, p))
     }
     val infos = g.members.values.map(c =>
-      MemberInfo(c.clientId, c.nodeId, c.assignment, c.userData)).toSeq
+      MemberInfo(c.clientId, c.nodeId, c.assignment)).toSeq
     val plan =
       if (infos.isEmpty) Map.empty[String, Set[TopicPartition]]
       else g.assignor.assign(infos, parts)
@@ -180,7 +176,7 @@ final class MiniKafka {
       s"assignor produced overlapping ownership in group ${g.id}")
     g.members.values.foreach { c =>
       val newAssignment = plan.getOrElse(c.clientId, Set.empty)
-      c.applyAssignment(newAssignment, g.generation)
+      c.applyAssignment(newAssignment)
     }
   }
 }
@@ -208,8 +204,6 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
   private var inGroup = false
   private var expelled = false
   private var rebalanceListener: (Set[TopicPartition], Set[TopicPartition]) => Unit = (_, _) => ()
-  var userData: Map[String, String] = Map.empty
-  var generation: Int = 0
 
   def subscription: Set[String] = subs
   def subscribedTo(topic: String): Boolean = subs.contains(topic)
@@ -236,11 +230,10 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
     rebalanceListener(revoked, added)
   }
 
-  private[messaging] def applyAssignment(tps: Set[TopicPartition], gen: Int): Unit = {
+  private[messaging] def applyAssignment(tps: Set[TopicPartition]): Unit = {
     val revoked = assigned -- tps
     val added = tps -- assigned
     assigned = tps
-    generation = gen
     added.foreach(tp => positions.getOrElseUpdate(tp,
       k.committedOffset(groupId, tp).getOrElse(0L)))
     revoked.foreach(positions.remove)

@@ -2,12 +2,17 @@ package repro.spark
 
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
+import repro.core.agg.{AggKind, AggState}
 
-/** Per-key reservoir kept in Structured Streaming state: the window's
-  * events, sorted by (ts, eventId). The full-event retention is the point —
-  * accurate sliding windows cannot discard events (§2.2).
+import scala.collection.mutable
+
+/** Per-key state kept in Structured Streaming: the window's events, sorted
+  * by (ts, eventId), plus the serialized count, sum, avg, max and min
+  * `AggState`s. The full-event retention is the point — accurate sliding
+  * windows cannot discard events (§2.2).
   */
-final case class CardReservoir(events: List[(Long, Long, Double)]) // (ts, id, amount)
+final case class CardReservoir(events: List[(Long, Long, Double)], // (ts, id, amount)
+                               states: List[Array[Byte]])
 
 /** One accurate per-event answer. */
 final case class SlidingAnswer(eventId: Long, ts: Long, cardId: String,
@@ -16,46 +21,56 @@ final case class SlidingAnswer(eventId: Long, ts: Long, cardId: String,
 
 /** Railgun's semantics as a *custom stateful operator* on Spark Structured
   * Streaming — the extension point named by the reproduction brief:
-  * `flatMapGroupsWithState` holding a per-key event reservoir and emitting
-  * one accurate sliding-window aggregate row per input event, instead of
-  * the built-in `window()` hopping approximation.
+  * `flatMapGroupsWithState` holding a per-key event deque plus the engine's
+  * incremental `AggState`s and emitting one accurate sliding-window
+  * aggregate row per input event, instead of the built-in `window()`
+  * hopping approximation. An in-order event costs one insert per state plus
+  * one evict per expired head event (§4.1.3).
   *
-  * Late events (older than the reservoir's newest timestamp minus the
-  * window) are still answered, from the state as-of their arrival —
-  * matching Railgun's never-delay-the-answer stance (§4.1.1).
+  * Late events (older than the newest stored event; only a later micro-batch
+  * delivers one) are inserted in (ts, id) order and the states are rebuilt,
+  * since max/min evict in insertion order. They are answered from the state
+  * as-of their arrival — matching Railgun's never-delay-the-answer stance
+  * (§4.1.1).
   */
 object RailgunStateful {
+
+  /** The states behind `cnt`, `sum`, `avg`, `mx` and `mn`, in that order. */
+  private val Kinds: List[AggKind] =
+    List(AggKind.Count, AggKind.Sum, AggKind.Avg, AggKind.Max, AggKind.Min)
+
+  private val order: Ordering[(Long, Long, Double)] = Ordering.by(e => (e._1, e._2))
 
   def slidingAggregates(ds: Dataset[Payment], windowMs: Long): Dataset[SlidingAnswer] = {
     import ds.sparkSession.implicits._
     ds.groupByKey(_.cardId)
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (cardId: String, incoming: Iterator[Payment], state: GroupState[CardReservoir]) =>
-          var window = state.getOption.map(_.events).getOrElse(Nil)
+          val window = mutable.ArrayDeque.from(state.getOption.toList.flatMap(_.events))
+          var states = state.getOption.fold(Kinds.map(AggState.init))(_.states.map(AggState.fromBytes))
           val batch = incoming.toVector.sortBy(p => (p.ts, p.eventId))
           val out = batch.map { p =>
-            // insert (keeping (ts, id) order) then evict ts <= p.ts - windowMs
-            window = insertSorted(window, (p.ts, p.eventId, p.amount))
-              .dropWhile(_._1 <= p.ts - windowMs)
-            val n = window.size
-            val s = window.iterator.map(_._3).sum
-            val mx = window.iterator.map(_._3).max
-            val mn = window.iterator.map(_._3).min
-            SlidingAnswer(p.eventId, p.ts, cardId, n, s, s / n, mx, mn)
+            val e = (p.ts, p.eventId, p.amount)
+            if (window.isEmpty || !order.lt(e, window.last)) {
+              window.append(e)
+              states.foreach(_.insert(p.amount))
+            } else {
+              window.insert(window.lastIndexWhere(order.lt(_, e)) + 1, e)
+              states = Kinds.map(AggState.init)
+              window.foreach(w => states.foreach(_.insert(w._3)))
+            }
+            while (window.head._1 <= p.ts - windowMs) {
+              val expired = window.removeHead()._3
+              states.foreach(_.evict(expired))
+            }
+            states.map(_.value.get) match {
+              case List(cnt: Long, sum: Double, avg: Double, mx: Double, mn: Double) =>
+                SlidingAnswer(p.eventId, p.ts, cardId, cnt, sum, avg, mx, mn)
+              case other => throw new IllegalStateException(s"unexpected aggregates $other")
+            }
           }
-          state.update(CardReservoir(window))
+          state.update(CardReservoir(window.toList, states.map(AggState.toBytes)))
           out.iterator
       }
-  }
-
-  private def insertSorted(window: List[(Long, Long, Double)],
-                           e: (Long, Long, Double)): List[(Long, Long, Double)] = {
-    // events almost always arrive in order: fast path appends at the end
-    val inOrder = window.isEmpty || {
-      val l = window.last
-      l._1 < e._1 || (l._1 == e._1 && l._2 <= e._2)
-    }
-    if (inOrder) window :+ e
-    else (window :+ e).sortBy(x => (x._1, x._2))
   }
 }

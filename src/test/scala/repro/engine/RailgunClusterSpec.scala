@@ -224,6 +224,46 @@ class RailgunClusterSpec extends AnyFunSuite {
     cluster.close()
   }
 
+  test("a stale processor promoted again answers the queries added and removed while it was stale") {
+    val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
+    cluster.addQuery("dc", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    cluster.addQuery("dm", "SELECT count(*) FROM payments GROUP BY merchantId OVER sliding 300 ms")
+    val events = mkEvents(160, seed = 19)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    val byMerchant = TestKit.bruteSliding(events, 300, _.str("merchantId"))
+    var recoveriesBeforeFailure = 0
+    events.zipWithIndex.foreach { case (e, i) =>
+      if (i == 40) cluster.addNode("node2", 1) // node0 and node1 each demote a task to stale
+      if (i == 60) {
+        assert(cluster.allUnits.exists(u => u.nodeId != "node2" && u.staleProcessors.nonEmpty),
+          "no stale processor to exercise")
+        cluster.addQuery("ac", "SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+        cluster.addQuery("am", "SELECT sum(amount) FROM payments GROUP BY merchantId OVER sliding 300 ms")
+        cluster.removeQuery("dc")
+        cluster.removeQuery("dm")
+      }
+      if (i == 100) {
+        recoveriesBeforeFailure = cluster.recoveries.size
+        cluster.failNode("node2") // its tasks return to their stale holders
+      }
+      val r = cluster.process("payments", e)
+      def value(q: String) = r.find(_.query == q).get.value
+      if (i < 60) {
+        assert(r.map(_.query).toSet == Set("dc", "dm"), s"queries @ $i: $r")
+        assert(value("dc").contains(TestKit.count(byCard(i))), s"card count @ $i")
+        assert(value("dm").contains(TestKit.count(byMerchant(i))), s"merchant count @ $i")
+      } else {
+        assert(r.map(_.query).toSet == Set("ac", "am"), s"queries @ $i: $r")
+        assert(TestKit.approxEq(value("ac"), TestKit.sum(byCard(i), "amount")), s"card sum @ $i")
+        assert(TestKit.approxEq(value("am"), TestKit.sum(byMerchant(i), "amount")),
+          s"merchant sum @ $i")
+      }
+    }
+    assert(cluster.recoveries.size == recoveriesBeforeFailure,
+      "a failed-over task was transferred instead of resuming on its stale holder")
+    cluster.close()
+  }
+
   test("adding a metric mid-stream backfills from the reservoir (operational request)") {
     val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
     cluster.addQuery("q1", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 500 ms")

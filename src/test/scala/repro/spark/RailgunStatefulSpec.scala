@@ -16,8 +16,15 @@ class RailgunStatefulSpec extends SparkSpec {
     val input = MemoryStream[Payment]
     val out = RailgunStateful.slidingAggregates(input.toDS(), windowMs)
     val name = s"railgun_out_${System.nanoTime()}"
-    val query = out.writeStream.format("memory").queryName(name)
-      .outputMode("append").start()
+    // Every micro-batch writes one state store per shuffle partition, so the
+    // session's 64 partitions, not the data, would set this spec's run time.
+    // A query fixes its partition count when it starts.
+    val partitions = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(partitions)
+    spark.conf.set(partitions, "4")
+    val query =
+      try out.writeStream.format("memory").queryName(name).outputMode("append").start()
+      finally spark.conf.set(partitions, saved)
     try {
       batches.foreach { b => input.addData(b); query.processAllAvailable() }
       spark.table(name).as[SlidingAnswer].collect().toSeq.sortBy(_.eventId)
@@ -62,6 +69,22 @@ class RailgunStatefulSpec extends SparkSpec {
     val got = runStreaming(Seq(Seq(p1, p2), Seq(p3)), windowMs = 2000L)
     assert(got.map(_.cnt) == Seq(1L, 2L, 1L))
     assert(got.last.sum == 9.0)
+  }
+
+  test("a late event from a later micro-batch is evicted in timestamp order") {
+    def pay(id: Long, ts: Long, amount: Double) = Payment(id, ts, "c", "m", amount)
+    // ts 2000 arrives after ts 3000; it expires before 3000 does, so the max
+    // of the last answer is 40 only if evictions follow ts, not arrival
+    val batches = Seq(Seq(pay(1, 1000, 10), pay(2, 3000, 30)), Seq(pay(3, 2000, 50)),
+      Seq(pay(4, 3600, 20)), Seq(pay(5, 4600, 40)))
+    val got = runStreaming(batches, windowMs = 2500L)
+    assert(got.map(a => (a.cnt, a.sum, a.mx, a.mn)) == Seq(
+      (1L, 10.0, 10.0, 10.0),  // {1000}
+      (2L, 40.0, 30.0, 10.0),  // {1000, 3000}
+      (3L, 90.0, 50.0, 10.0),  // {1000, 2000, 3000}, answered as of arrival
+      (3L, 100.0, 50.0, 20.0), // 1000 expired: {2000, 3000, 3600}
+      (3L, 90.0, 40.0, 20.0))) // 2000 expired: {3000, 3600, 4600}
+    assert(got.map(_.avg) == Seq(10.0, 20.0, 30.0, 100.0 / 3, 30.0))
   }
 
   test("max/min over the streaming window match the batch plan") {

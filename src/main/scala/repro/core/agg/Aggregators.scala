@@ -42,6 +42,10 @@ trait AggState {
   /** Current aggregate; None when the window is empty and no value is defined. */
   def value: Option[Any]
   def write(out: DataOutputStream): Unit
+  /** Set while the plan's state cache holds updates of this state that the
+    * store lacks; not part of the serialized state.
+    */
+  private[core] var dirty: Boolean = false
 }
 
 object AggState {

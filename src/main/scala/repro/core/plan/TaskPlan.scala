@@ -1,6 +1,6 @@
 package repro.core.plan
 
-import repro.core.agg.AggState
+import repro.core.agg.{AggKind, AggState}
 import repro.core.model.Event
 import repro.core.query._
 import repro.core.reservoir.{EventReservoir, ReservoirIterator}
@@ -28,41 +28,55 @@ final class AggStateCache(store: LsmStore) {
       if (size() > Capacity) { persist(e.getKey, e.getValue); true } else false
     }
   }
-  private val dirty = mutable.HashSet.empty[String]
+  // States that went from clean to dirty since the last flush, with their
+  // keys (parallel buffers, no wrapper per entry). An entry whose state has
+  // been persisted on eviction since is stale: that state is clean again.
+  private val dirtyKeys = mutable.ArrayBuffer.empty[String]
+  private val dirtyStates = mutable.ArrayBuffer.empty[AggState]
 
-  private def persist(k: String, st: AggState): Unit = {
-    if (dirty.remove(k)) store.put(Cf, k, AggState.toBytes(st))
-  }
+  private def persist(k: String, st: AggState): Unit =
+    if (st.dirty) { store.put(Cf, k, AggState.toBytes(st)); st.dirty = false }
 
-  def get(k: String, init: => AggState): AggState = {
+  /** The state of `k`: cached, else loaded from the store, else a fresh
+    * `kind` state. A fresh state is cached clean, so repeated reads of an
+    * absent key cost one store get, and it is persisted only once updated.
+    */
+  def get(k: String, kind: AggKind): AggState = {
     val cached = map.get(k)
     if (cached != null) cached
     else {
-      val st = store.get(Cf, k).map(AggState.fromBytes).getOrElse(init)
+      val st = store.get(Cf, k) match {
+        case Some(bytes) => AggState.fromBytes(bytes)
+        case None        => AggState.init(kind)
+      }
       map.put(k, st)
       st
     }
   }
 
-  def lookup(k: String): Option[AggState] = {
-    val cached = map.get(k)
-    if (cached != null) Some(cached)
-    else {
-      val st = store.get(Cf, k).map(AggState.fromBytes)
-      st.foreach(map.put(k, _))
-      st
-    }
+  /** Records an update of `st`, the cached state of `k`; only its first
+    * update since it was last persisted costs anything.
+    */
+  def markDirty(k: String, st: AggState): Unit = if (!st.dirty) {
+    st.dirty = true
+    // at most Capacity + 1 states are dirty at once, so this halves the buffers
+    if (dirtyStates.size >= 2 * Capacity) dropStale()
+    dirtyKeys += k; dirtyStates += st
   }
 
-  def markDirty(k: String): Unit = dirty += k
+  private def dropStale(): Unit = {
+    var j = 0
+    for (i <- dirtyStates.indices if dirtyStates(i).dirty) {
+      dirtyKeys(j) = dirtyKeys(i); dirtyStates(j) = dirtyStates(i); j += 1
+    }
+    dirtyKeys.dropRightInPlace(dirtyKeys.size - j)
+    dirtyStates.dropRightInPlace(dirtyStates.size - j)
+  }
 
   /** Persists every dirty state (checkpoint barrier / plan rebuild). */
   def flush(): Unit = {
-    dirty.toSeq.foreach { k =>
-      val st = map.get(k)
-      if (st != null) store.put(Cf, k, AggState.toBytes(st))
-    }
-    dirty.clear()
+    for (i <- dirtyStates.indices) persist(dirtyKeys(i), dirtyStates(i))
+    dirtyKeys.clear(); dirtyStates.clear()
   }
 }
 
@@ -77,31 +91,25 @@ object AggStateCache {
   */
 private final class AggLeaf(val metricId: String, val spec: AggSpec, cache: AggStateCache) {
 
+  private val keyPrefix = metricId + "|"
+
   private def stateKey(entity: String, bucket: Option[Long]): String =
     bucket match {
-      case Some(b) => s"$metricId|$entity|$b"
-      case None    => s"$metricId|$entity"
+      case Some(b) => keyPrefix + entity + "|" + b
+      case None    => keyPrefix + entity
     }
 
-  def insert(entity: String, e: Event, bucket: Option[Long]): Unit =
-    update(entity, e, bucket, isInsert = true)
-
-  def evict(entity: String, e: Event, bucket: Option[Long]): Unit =
-    update(entity, e, bucket, isInsert = false)
-
-  private def update(entity: String, e: Event, bucket: Option[Long], isInsert: Boolean): Unit = {
+  /** Applies an entering (`isInsert`) or expiring event to the entity's state. */
+  def update(entity: String, e: Event, bucket: Option[Long], isInsert: Boolean): Unit = {
     val k = stateKey(entity, bucket)
-    val st = cache.get(k, AggState.init(spec.kind))
+    val st = cache.get(k, spec.kind)
     if (isInsert) st.insert(spec.valueOf(e)) else st.evict(spec.valueOf(e))
-    cache.markDirty(k)
+    cache.markDirty(k, st)
   }
 
-  /** The aggregate, or the empty window's answer when the entity has no state. */
+  /** The aggregate; an entity without state answers the empty window's value. */
   def value(entity: String, bucket: Option[Long]): Option[Any] =
-    cache.lookup(stateKey(entity, bucket)) match {
-      case Some(st) => st.value
-      case None     => AggState.init(spec.kind).value
-    }
+    cache.get(stateKey(entity, bucket), spec.kind).value
 }
 
 /** A shared (Window, Filter, GroupBy) prefix node of the DAG with its leaf
@@ -115,9 +123,18 @@ private final class PrefixNode(val window: WindowSpec,
   /** (query name, leaf) pairs hanging off this prefix. */
   val leaves = mutable.ArrayBuffer.empty[(String, AggLeaf)]
 
-  def entity(e: Event): String = groupBy.map(e.str).mkString("")
+  /** Offset of the head iterator (entering events): the window's delay. */
+  val headOffset: Long = window.delayMs
+  /** Offset of the tail iterator (expiring events), for a sliding window. */
+  val tailOffset: Option[Long] = window match {
+    case SlidingWindow(size, delay) => Some(delay + size)
+    case _                          => None
+  }
 
-  def passes(e: Event): Boolean = filter.forall(f => JexlLite.matches(f, e))
+  def entity(e: Event): String =
+    if (groupBy.sizeIs == 1) e.str(groupBy.head) else groupBy.map(e.str).mkString("")
+
+  def passes(e: Event): Boolean = filter.isEmpty || JexlLite.matches(filter.get, e)
 
   /** Epoch-aligned tumbling bucket of a timestamp (delay is handled by the
     * head iterator offset, not by shifting bucket boundaries).
@@ -125,6 +142,17 @@ private final class PrefixNode(val window: WindowSpec,
   def bucketOf(ts: Long): Option[Long] = window match {
     case TumblingWindow(size, _) => Some(math.floorDiv(ts, size))
     case _                       => None
+  }
+
+  /** Applies an entering (`isInsert`) or expiring event to every leaf if it
+    * passes the filter; returns whether it did. The entity is built once.
+    */
+  def update(e: Event, isInsert: Boolean): Boolean = passes(e) && {
+    val entity = this.entity(e)
+    val bucket = bucketOf(e.ts)
+    var i = 0
+    while (i < leaves.size) { leaves(i)._2.update(entity, e, bucket, isInsert); i += 1 }
+    true
   }
 }
 
@@ -164,60 +192,69 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
   /** Number of distinct prefix nodes (DAG sharing effectiveness). */
   def prefixNodeCount: Int = nodes.size
 
+  var eventsProcessed: Long = 0L
+  var insertsApplied: Long = 0L
+  var evictsApplied: Long = 0L
+
+  /** One shared iterator and the window roles it feeds: the nodes whose
+    * head (inserts) or tail (evicts) sits at its offset.
+    */
+  private final class Cursor(val offset: Long, val it: ReservoirIterator,
+                             heads: Array[PrefixNode], tails: Array[PrefixNode])
+      extends (Event => Unit) {
+    def apply(e: Event): Unit = {
+      var i = 0
+      while (i < heads.length) { if (heads(i).update(e, isInsert = true)) insertsApplied += 1; i += 1 }
+      i = 0
+      while (i < tails.length) { if (tails(i).update(e, isInsert = false)) evictsApplied += 1; i += 1 }
+    }
+  }
+
   // ---- shared iterators, one per distinct offset --------------------------
   private val t0: Long = reservoir.maxTimestamp // MinValue on an empty reservoir
-
-  private val offsets: Vector[Long] =
-    nodes.flatMap(n => n.window.iteratorOffsets).distinct.sorted.toVector
 
   // On a non-empty reservoir every iterator resumes at the timestamp
   // position its offset implies — for queries whose state is already in the
   // store (plan rebuild, recovery restore) this is exactly where the old
   // iterators stood, because state-store contents and iterator positions are
   // both pure functions of the last processed timestamp.
-  private val iterators: Map[Long, ReservoirIterator] = offsets.map { off =>
-    val it =
-      if (reservoir.totalEvents > 0) reservoir.iteratorFrom(t0 + 1 - off)
-      else reservoir.iterator()
-    off -> it
-  }.toMap
+  //
+  // Cursors are in ascending offset order. A node's head offset is below its
+  // tail offset, so within a step every node inserts an event before it
+  // evicts it — the FIFO order the extremum states rely on.
+  private val cursors: Array[Cursor] =
+    nodes.flatMap(_.window.iteratorOffsets).distinct.sorted.map { off =>
+      val it =
+        if (reservoir.totalEvents > 0) reservoir.iteratorFrom(t0 + 1 - off)
+        else reservoir.iterator()
+      new Cursor(off, it, nodes.filter(_.headOffset == off).toArray,
+        nodes.filter(_.tailOffset.contains(off)).toArray)
+    }.toArray
 
   /** Distinct reservoir iterators in use — Fig. 9b's x-axis. */
-  def iteratorCount: Int = iterators.size
-
-  // per-node subscriptions: (headOffset, tailOffsetOption)
-  private val nodeOffsets: Vector[(PrefixNode, Long, Option[Long])] = nodes.map { n =>
-    n.window match {
-      case SlidingWindow(size, delay) => (n, delay, Some(delay + size))
-      case TumblingWindow(_, delay)   => (n, delay, None)
-      case InfiniteWindow(delay)      => (n, delay, None)
-    }
-  }
+  def iteratorCount: Int = cursors.length
 
   // Backfill (metric addition over an existing reservoir): prime only the
   // *new* queries' leaves with the historical events currently inside their
   // window, via temporary cursors — the system's random-read path.
   if (backfillFor.nonEmpty && reservoir.totalEvents > 0) {
-    nodeOffsets.foreach { case (node, headOff, tailOff) =>
-      val newLeaves = node.leaves.filter { case (q, _) => backfillFor.contains(q) }
+    nodes.foreach { node =>
+      val newLeaves = node.leaves.collect { case (q, leaf) if backfillFor.contains(q) => leaf }
       if (newLeaves.nonEmpty) {
-        val from = (node.window, tailOff) match {
+        val from = (node.window, node.tailOffset) match {
           case (_, Some(tOff))             => t0 + 1 - tOff
-          case (TumblingWindow(size, _), _) => math.floorDiv(t0 - headOff, size) * size
+          case (TumblingWindow(size, _), _) => math.floorDiv(t0 - node.headOffset, size) * size
           case _                           => Long.MinValue / 2 // infinite: full history
         }
-        val tmp = reservoir.iteratorFrom(from)
-        tmp.advanceTo(t0 + 1 - headOff).foreach { e =>
-          if (node.passes(e))
-            newLeaves.foreach(_._2.insert(node.entity(e), e, node.bucketOf(e.ts)))
+        reservoir.iteratorFrom(from).foreachBelow(t0 + 1 - node.headOffset) { e =>
+          if (node.passes(e)) {
+            val entity = node.entity(e)
+            newLeaves.foreach(_.update(entity, e, node.bucketOf(e.ts), isInsert = true))
+          }
         }
       }
     }
   }
-
-  var eventsProcessed: Long = 0L
-  var insertsApplied: Long = 0L
-  var evictsApplied: Long = 0L
 
   /** Advances every window to the arriving event's evaluation time and
     * returns the aggregation results for that event's entities. The event
@@ -226,30 +263,12 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
   def onEvent(e: Event): Seq[MetricResult] = {
     eventsProcessed += 1
     val teval = e.ts + 1 // evaluation instant right after arrival (§2)
-
-    // 1. advance each shared iterator once, caching the produced batches
-    val batches: Map[Long, Seq[Event]] =
-      offsets.iterator.map(off => off -> iterators(off).advanceTo(teval - off)).toMap
-
-    // 2. feed window nodes: head batch inserts, tail batch evicts
-    nodeOffsets.foreach { case (node, headOff, tailOff) =>
-      batches(headOff).foreach { ev =>
-        if (node.passes(ev)) {
-          node.leaves.foreach(_._2.insert(node.entity(ev), ev, node.bucketOf(ev.ts)))
-          insertsApplied += 1
-        }
-      }
-      tailOff.foreach { tOff =>
-        batches(tOff).foreach { ev =>
-          if (node.passes(ev)) {
-            node.leaves.foreach(_._2.evict(node.entity(ev), ev, node.bucketOf(ev.ts)))
-            evictsApplied += 1
-          }
-        }
-      }
+    var i = 0
+    while (i < cursors.length) {
+      val c = cursors(i)
+      c.it.foreachBelow(teval - c.offset)(c)
+      i += 1
     }
-
-    // 3. read out the aggregates for the arriving event's entity
     currentValues(e)
   }
 
@@ -257,9 +276,9 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
     * (used for duplicate deliveries — exactly-once replies).
     */
   def currentValues(e: Event): Seq[MetricResult] =
-    nodeOffsets.flatMap { case (node, headOff, _) =>
+    nodes.flatMap { node =>
       val entity = node.entity(e)
-      val bucket = node.bucketOf(e.ts - headOff) // current bucket at the delayed "now"
+      val bucket = node.bucketOf(e.ts - node.headOffset) // current bucket at the delayed "now"
       node.leaves.map { case (qName, leaf) =>
         MetricResult(qName, leaf.spec.label, leaf.value(entity, bucket))
       }

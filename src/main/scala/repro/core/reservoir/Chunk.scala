@@ -24,8 +24,30 @@ final case class Chunk(chunkId: Long, schemaId: Int, events: Vector[Event]) {
   */
 object ChunkCodec {
 
-  /** Total order used inside chunks and across the reservoir. */
-  val eventOrdering: Ordering[Event] = Ordering.by(e => (e.ts, e.id))
+  /** Compares (ts, id) with (ts2, id2): the total order inside chunks and
+    * across the reservoir.
+    */
+  def compareKey(ts: Long, id: Long, ts2: Long, id2: Long): Int =
+    if (ts != ts2) java.lang.Long.compare(ts, ts2) else java.lang.Long.compare(id, id2)
+
+  /** [[compareKey]] as an `Ordering`, comparing primitives in place. */
+  val eventOrdering: Ordering[Event] = new Ordering[Event] {
+    def compare(a: Event, b: Event): Int = compareKey(a.ts, a.id, b.ts, b.id)
+  }
+
+  /** Inserts `e` into `buf`, which is kept (ts, id)-sorted: an in-order
+    * arrival appends in O(1), an out-of-order one binary-inserts.
+    */
+  def insertSorted(buf: collection.mutable.ArrayBuffer[Event], e: Event): Unit =
+    if (buf.isEmpty || eventOrdering.lteq(buf.last, e)) buf += e
+    else {
+      var lo = 0; var hi = buf.size
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (eventOrdering.lt(buf(mid), e)) lo = mid + 1 else hi = mid
+      }
+      buf.insert(lo, e)
+    }
 
   def serialize(chunk: Chunk, schema: EventSchema): Array[Byte] = {
     val bos = new ByteArrayOutputStream(chunk.size * 32)

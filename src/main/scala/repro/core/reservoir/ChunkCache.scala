@@ -19,7 +19,7 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
   private val inFlight = mutable.HashSet.empty[Long]
   private val lock = new Object
 
-  @volatile private var prefetchPool: ExecutorService = Executors.newSingleThreadExecutor { r =>
+  private val prefetchPool: ExecutorService = Executors.newSingleThreadExecutor { r =>
     val t = new Thread(r, "chunk-prefetch"); t.setDaemon(true); t
   }
 
@@ -74,13 +74,12 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
   }
 
   /** Waits for outstanding prefetches (determinism in tests). */
-  def quiesce(): Unit = {
-    val old = prefetchPool
-    old.shutdown()
-    old.awaitTermination(30, TimeUnit.SECONDS)
-    prefetchPool = Executors.newSingleThreadExecutor { r =>
-      val t = new Thread(r, "chunk-prefetch"); t.setDaemon(true); t
-    }
+  def quiesce(): Unit = prefetchPool.submit(new Runnable { def run(): Unit = () }).get()
+
+  /** Stops the prefetch thread once outstanding prefetches finish. */
+  def close(): Unit = {
+    prefetchPool.shutdown()
+    prefetchPool.awaitTermination(30, TimeUnit.SECONDS)
   }
 
   def size: Int = lock.synchronized(map.size())

@@ -45,16 +45,12 @@ final case class ReservoirConfig(
   */
 final case class ChunkSummary(chunkId: Long, firstTs: Long, lastTs: Long, count: Int)
 
-/** A full chunk still accepting late events (transition state, §4.1.1). */
-private final class TransChunk(val cid: Long, val closedAt: Long) {
-  val events = mutable.ArrayBuffer.empty[Event]
-  var minTs: Long = Long.MaxValue
-  var maxTs: Long = Long.MinValue
-  def add(e: Event): Unit = {
-    events += e
-    if (e.ts < minTs) minTs = e.ts
-    if (e.ts > maxTs) maxTs = e.ts
-  }
+/** A full chunk still accepting late events (transition state, §4.1.1),
+  * kept (ts, id)-sorted like the open chunk so reads need no sort.
+  */
+private final class TransChunk(val cid: Long, val closedAt: Long,
+                               val events: mutable.ArrayBuffer[Event]) {
+  def maxTs: Long = events.last.ts
 }
 
 /** The event reservoir (§4.1.1): stores *all* events of one task processor,
@@ -77,23 +73,11 @@ final class EventReservoir(val dir: java.nio.file.Path,
   // ---- head-of-stream state --------------------------------------------
   private var nextChunkId: Long = 0L
   private var openId: Long = 0L
-  /** Open chunk, kept (ts, id)-sorted incrementally: in-order arrivals append
-    * in O(1); rare out-of-order arrivals binary-insert. Head iterators read
-    * it on every event, so it must never need a full re-sort.
+  /** Open chunk, kept (ts, id)-sorted incrementally ([[ChunkCodec.insertSorted]]).
+    * Head iterators read it on every event, so it must never need a full
+    * re-sort.
     */
-  private val open = mutable.ArrayBuffer.empty[Event]
-
-  private def openInsert(e: Event): Unit = {
-    if (open.isEmpty || ChunkCodec.eventOrdering.lteq(open.last, e)) open += e
-    else {
-      var lo = 0; var hi = open.size
-      while (lo < hi) {
-        val mid = (lo + hi) / 2
-        if (ChunkCodec.eventOrdering.lt(open(mid), e)) lo = mid + 1 else hi = mid
-      }
-      open.insert(lo, e)
-    }
-  }
+  private var open = mutable.ArrayBuffer.empty[Event]
   /** Full chunks still accepting late events. */
   private val transition = mutable.ArrayDeque.empty[TransChunk]
   /** Finalized but not yet persisted (async write in flight). */
@@ -137,7 +121,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
         case LatePolicy.Rewrite =>
           // "rewritten to the first timestamp of the chunk" — land the event
           // at the earliest timestamp the open head can still accept.
-          val openMin = if (open.nonEmpty) open.iterator.map(_.ts).min else Long.MaxValue
+          val openMin = if (open.nonEmpty) open.head.ts else Long.MaxValue
           val newTs = math.max(lastFinalizedMaxTs + 1, math.min(openMin, maxSeenTs))
           e = e.copy(ts = newTs)
           lateRewritten += 1
@@ -149,10 +133,10 @@ final class EventReservoir(val dir: java.nio.file.Path,
     // ordered (events above every transition range land in the open chunk).
     transition.find(t => e.ts <= t.maxTs) match {
       case Some(t) =>
-        t.add(e)
+        ChunkCodec.insertSorted(t.events, e)
         dedupSets.find(_._1 == t.cid).foreach(_._2 += e.id)
       case None =>
-        openInsert(e)
+        ChunkCodec.insertSorted(open, e)
         dedupSets.find(_._1 == openId).foreach(_._2 += e.id)
     }
     total += 1
@@ -163,10 +147,8 @@ final class EventReservoir(val dir: java.nio.file.Path,
   }
 
   private def closeOpenChunk(): Unit = {
-    val t = new TransChunk(openId, maxSeenTs)
-    open.foreach(t.add)
-    transition.append(t)
-    open.clear()
+    transition.append(new TransChunk(openId, maxSeenTs, open))
+    open = mutable.ArrayBuffer.empty[Event]
     nextChunkId += 1
     openId = nextChunkId
     dedupSets.append((openId, mutable.HashSet.empty[Long]))
@@ -180,8 +162,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
   }
 
   private def finalizeChunk(cid: Long, evs: mutable.ArrayBuffer[Event]): Unit = {
-    val sorted = evs.sorted(ChunkCodec.eventOrdering).toVector
-    val chunk = Chunk(cid, registry.currentId, sorted)
+    val chunk = Chunk(cid, registry.currentId, evs.toVector) // evs is kept sorted
     lastFinalizedMaxTs = math.max(lastFinalizedMaxTs, chunk.lastTs)
     index += ChunkSummary(cid, chunk.firstTs, chunk.lastTs, chunk.size)
     pending.update(cid, chunk)
@@ -223,14 +204,16 @@ final class EventReservoir(val dir: java.nio.file.Path,
   // ---- reads ------------------------------------------------------------
 
   /** Events of a chunk in (ts, id) order plus whether the chunk is final
-    * (immutable). Non-final chunks (open/transition) serve a sorted snapshot.
+    * (immutable). Non-final chunks (open/transition) are served as their
+    * live, already sorted buffers: the caller reads them within one step
+    * (single-threaded step discipline) and must not keep them across steps.
     */
   private[reservoir] def readChunkEvents(chunkId: Long): (collection.IndexedSeq[Event], Boolean) =
     synchronized {
       if (chunkId == openId) {
-        (open, false) // already sorted; single-threaded step discipline
+        (open, false)
       } else transition.find(_.cid == chunkId) match {
-        case Some(t) => (t.events.sorted(ChunkCodec.eventOrdering).toVector, false)
+        case Some(t) => (t.events, false)
         case None =>
           pending.get(chunkId) match {
             case Some(c) => (c.events, true)
@@ -252,7 +235,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
   }
 
   /** Iterator starting at the beginning of the stream. */
-  def iterator(): ReservoirIterator = new ReservoirIterator(this, 0L, None)
+  def iterator(): ReservoirIterator = new ReservoirIterator(this, 0L)
 
   /** Iterator positioned so the first event returned has ts >= `ts` (random
     * access through the in-memory timestamp index — used when a new window /
@@ -270,8 +253,8 @@ final class EventReservoir(val dir: java.nio.file.Path,
         if (ans == -1) openId else index(ans).chunkId
       }
     }
-    val it = new ReservoirIterator(this, cid, None)
-    it.skipBelow(ts)
+    val it = new ReservoirIterator(this, cid)
+    it.foreachBelow(ts)(_ => ()) // skip: the first event returned has ts >= `ts`
     it
   }
 
@@ -319,7 +302,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
     dedupSets.append((openId, mutable.HashSet.empty[Long]))
   }
 
-  def close(): Unit = try flush() finally { persistPool.shutdown(); store.close() }
+  def close(): Unit = try flush() finally { persistPool.shutdown(); cache.close(); store.close() }
 }
 
 object EventReservoir {

@@ -321,4 +321,24 @@ class ReservoirSpec extends AnyFunSuite {
     assert(r.cache.size <= 4, s"cache holds ${r.cache.size} chunks") // not the 100 persisted
     r.close()
   }
+
+  test("closing a reservoir stops its chunk-prefetch thread") {
+    // threads started on behalf of the reservoirs join the worker's group
+    val group = new ThreadGroup("reservoir-close")
+    val work = new java.util.concurrent.FutureTask[Unit](() =>
+      (0 until 20).foreach { _ =>
+        val r = mkReservoir()
+        (0 until 40).foreach(i => r.append(mkEvent(i.toLong, i.toLong)))
+        r.flush()
+        assert(r.iterator().advanceTo(Long.MaxValue).size == 40) // crossings prefetch
+        r.close()
+      })
+    new Thread(group, work).start()
+    work.get()
+    val threads = new Array[Thread](group.activeCount() + 16)
+    val prefetchers = threads.take(group.enumerate(threads)).filter(_.getName == "chunk-prefetch")
+    prefetchers.foreach(_.join(2000))
+    assert(prefetchers.forall(!_.isAlive),
+      s"${prefetchers.count(_.isAlive)} chunk-prefetch threads outlive their closed reservoirs")
+  }
 }

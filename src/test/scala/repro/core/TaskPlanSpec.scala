@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
 import repro.core.model.{Event, FieldDef, FieldType}
@@ -301,5 +302,91 @@ class TaskPlanSpec extends AnyFunSuite {
     val query = q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 200 ms", "x")
     val (_, out, _, _) = run(Seq(query), events)
     assert(out(2).head.value.contains(1L)) // c1's first event long gone
+  }
+
+  // ---- per-event delivery ------------------------------------------------------
+
+  test("chunk-cache reads are bounded by chunk crossings, not by iterators x events") {
+    // 40 misaligned windows: heads 13i+1, tails 13i+51 — 80 distinct offsets
+    val offsets = (0 until 40).flatMap(i => Seq(13L * i + 1, 13L * i + 51))
+    val queries = (0 until 40).map { i =>
+      q(s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 50 ms delayed by ${13 * i + 1} ms", s"w$i")
+    }
+    val chunkSize = 8
+    val events = randomEvents(800, seed = 3, tsStep = 3)
+    val (plan, _, res, store) =
+      run(queries, events, ReservoirConfig(chunkSizeEvents = chunkSize, chunksPerFile = 4, cacheChunks = 8))
+    val chunkLastTs = events.grouped(chunkSize).map(_.last.ts).toVector
+    assert(plan.iteratorCount == 80 && chunkLastTs.size >= 20)
+    // an iterator leaves a chunk once every event in it is below its bound
+    val bound = events.last.ts + 1
+    val crossings = offsets.map(off => chunkLastTs.count(_ < bound - off)).sum
+    val st = res.cacheStats
+    // one read per chunk an iterator stands on: its first chunk plus one per crossing
+    assert(st.hits + st.misses <= crossings + plan.iteratorCount,
+      s"${st.hits + st.misses} chunk-cache reads for $crossings crossings of ${plan.iteratorCount} iterators over ${events.size} events")
+    res.close(); store.close()
+  }
+
+  test("read-outs of an entity without state cost at most one store get per key") {
+    val (res, store) = fixture()
+    // the delay keeps every window empty over this stream (ts < 1,400 ms)
+    val query = q("SELECT count(*), max(amount) FROM payments GROUP BY cardId OVER sliding 100 ms delayed by 10 s", "absent")
+    val plan = new TaskPlan(Seq(query), res, store)
+    val events = randomEvents(200, seed = 4, keys = 3)
+    val out = events.map { e => res.append(e); plan.onEvent(e) }
+    events.foreach(plan.currentValues)
+    assert(out.forall(_.find(_.agg == "count(*)").get.value.contains(0L)))
+    assert(out.forall(_.find(_.agg == "max(amount)").get.value.isEmpty))
+    val keys = events.map(_.str("cardId")).distinct.size * 2 // one per (card, aggregation)
+    assert(store.gets <= keys, s"${store.gets} store gets for $keys keys")
+    plan.flushState()
+    assert(store.puts == 0, "an empty state read out was persisted")
+    res.close(); store.close()
+  }
+
+  test("delayed windows with shared offsets match brute force across long gaps (property)") {
+    val genWindows = for {
+      n <- Gen.choose(2, 4)
+      sizes <- Gen.listOfN(n, Gen.choose(3L, 40L))
+      delays <- Gen.listOfN(n, Gen.choose(0L, 30L))
+    } yield {
+      // window 1's head sits on window 0's tail: one iterator feeds both
+      sizes.toVector.zip(delays.toVector.updated(1, delays.head + sizes.head))
+    }
+    val genEvents = for {
+      n <- Gen.choose(20, 80)
+      // a gap beyond delay + size inserts and evicts an event in the same step
+      steps <- Gen.listOfN(n, Gen.frequency(8 -> Gen.choose(1L, 5L), 1 -> Gen.choose(50L, 200L)))
+      cards <- Gen.listOfN(n, Gen.choose(0, 2))
+      amounts <- Gen.listOfN(n, Gen.choose(1, 100))
+    } yield {
+      val ts = steps.scanLeft(0L)(_ + _).tail
+      ts.indices.map(i => Event(i + 1L, ts(i), Map(
+        "amount" -> amounts(i).toDouble, "cardId" -> s"c${cards(i)}", "merchantId" -> "m")))
+    }
+    val gen = for { ws <- genWindows; evs <- genEvents; chunk <- Gen.choose(4, 8) } yield (ws, evs, chunk)
+    TestKit.checkProp(Prop.forAll(gen) { case (windows, events, chunk) =>
+      val queries = windows.zipWithIndex.map { case ((size, delay), w) =>
+        q(s"SELECT max(amount), min(amount), sum(amount), count(*) FROM payments " +
+          s"GROUP BY cardId OVER sliding $size ms delayed by $delay ms", s"w$w")
+      }
+      val (_, out, res, store) =
+        run(queries, events, ReservoirConfig(chunkSizeEvents = chunk, chunksPerFile = 2, cacheChunks = 2))
+      res.close(); store.close()
+      events.indices.forall { i =>
+        val e = events(i)
+        windows.zipWithIndex.forall { case ((size, delay), w) =>
+          // the delayed window (t - delay - size, t - delay]
+          val win = events.take(i + 1).filter(x => x.str("cardId") == e.str("cardId") &&
+            x.ts > e.ts - delay - size && x.ts <= e.ts - delay)
+          def got(agg: String) = out(i).find(r => r.query == s"w$w" && r.agg == agg).get.value
+          TestKit.approxEq(got("max(amount)"), TestKit.mx(win, "amount")) &&
+            TestKit.approxEq(got("min(amount)"), TestKit.mn(win, "amount")) &&
+            TestKit.approxEq(got("sum(amount)"), TestKit.sum(win, "amount")) &&
+            got("count(*)").contains(TestKit.count(win))
+        }
+      }
+    }, minSuccessful = 40)
   }
 }

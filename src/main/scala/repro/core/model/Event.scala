@@ -23,9 +23,7 @@ final case class FieldDef(name: String, ftype: FieldType)
   * schema id they were serialized under, so old chunks stay readable after
   * the schema evolves (§4.1.1).
   */
-final case class EventSchema(id: Int, fields: Vector[FieldDef]) {
-  val fieldIndex: Map[String, Int] = fields.iterator.map(_.name).zipWithIndex.toMap
-}
+final case class EventSchema(id: Int, fields: Vector[FieldDef])
 
 /** A stream event: a unique id (used for deduplication), an event-time
   * timestamp in milliseconds, and named field values (Long | Double | String).

@@ -4,16 +4,38 @@ import repro.core.model.{Event, EventSchema, FieldType}
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 import java.util.zip.{Deflater, DeflaterOutputStream, InflaterInputStream}
+import scala.collection.mutable
 
-/** A closed, immutable group of events, sorted by (ts, id) — the unit of
+/** A chunk as a [[ReservoirIterator]] reads it: a finalized [[Chunk]] or a
+  * [[HeadChunk]] that still takes events. Either way `events` is (ts, id)-sorted.
+  */
+sealed trait ChunkEvents {
+  def events: collection.IndexedSeq[Event]
+}
+
+/** A finalized, immutable group of events, sorted by (ts, id) — the unit of
   * reservoir I/O (§4.1.1). Chunks are serialized against a specific schema
   * version and compressed before hitting disk.
   */
-final case class Chunk(chunkId: Long, schemaId: Int, events: Vector[Event]) {
+final case class Chunk(chunkId: Long, schemaId: Int, events: Vector[Event]) extends ChunkEvents {
   require(events.nonEmpty, s"chunk $chunkId is empty")
-  def firstTs: Long = events.head.ts
+}
+
+/** A chunk at the head of the stream (§4.1.1): the open chunk, or a full
+  * chunk in transition that still takes late events until the stream passes
+  * `closedAt` + `closeDelayMs`. Its buffer is kept (ts, id)-sorted on insert,
+  * so reading it never sorts, and it holds the ids it took for deduplication.
+  */
+private[reservoir] final class HeadChunk(val id: Long) extends ChunkEvents {
+  val events: mutable.ArrayBuffer[Event] = mutable.ArrayBuffer.empty[Event]
+  val ids: mutable.HashSet[Long] = mutable.HashSet.empty[Long]
+  /** The largest timestamp seen when the chunk filled; MaxValue while open. */
+  var closedAt: Long = Long.MaxValue
+
+  def isOpen: Boolean = closedAt == Long.MaxValue
   def lastTs: Long = events.last.ts
-  def size: Int = events.size
+
+  def add(e: Event): Unit = { ChunkCodec.insertSorted(events, e); ids += e.id }
 }
 
 /** Schema-driven binary codec + Deflate compression for chunks.
@@ -38,7 +60,7 @@ object ChunkCodec {
   /** Inserts `e` into `buf`, which is kept (ts, id)-sorted: an in-order
     * arrival appends in O(1), an out-of-order one binary-inserts.
     */
-  def insertSorted(buf: collection.mutable.ArrayBuffer[Event], e: Event): Unit =
+  def insertSorted(buf: mutable.ArrayBuffer[Event], e: Event): Unit =
     if (buf.isEmpty || eventOrdering.lteq(buf.last, e)) buf += e
     else {
       var lo = 0; var hi = buf.size
@@ -50,7 +72,7 @@ object ChunkCodec {
     }
 
   def serialize(chunk: Chunk, schema: EventSchema): Array[Byte] = {
-    val bos = new ByteArrayOutputStream(chunk.size * 32)
+    val bos = new ByteArrayOutputStream(chunk.events.size * 32)
     val out = new DataOutputStream(
       new DeflaterOutputStream(bos, new Deflater(Deflater.BEST_SPEED)))
     out.writeLong(chunk.chunkId)

@@ -6,11 +6,12 @@ import scala.collection.mutable
 /** LRU cache of decompressed chunks with eager (asynchronous) prefetch of
   * the next chunk in sequence (§4.1.1, Figure 5).
   *
-  * Windows consume events strictly by timestamp order, so when an iterator
-  * starts reading chunk N the cache schedules a load of N+1; by the time the
-  * iterator crosses the boundary the chunk is normally already decompressed
-  * in memory. A miss pays the load (I/O from the OS page cache in practice)
-  * plus decompression/deserialization — the latency-spike source studied in
+  * Windows consume events strictly by timestamp order, so when the
+  * reservoir serves an iterator persisted chunk N it has the cache schedule
+  * a load of N+1 (if persisted); by the time the iterator crosses the
+  * boundary the chunk is normally already decompressed in memory. A miss
+  * pays the load (I/O from the OS page cache in practice) plus
+  * decompression/deserialization — the latency-spike source studied in
   * experiment 9(b).
   */
 final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
@@ -51,10 +52,10 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
     }
   }
 
-  /** Schedules an eager background load of `chunkId` if absent. `available`
-    * guards against prefetching a chunk that is not yet persisted.
+  /** Schedules an eager background load of `chunkId` if absent. The chunk
+    * must already be persisted.
     */
-  def prefetch(chunkId: Long, available: Long => Boolean): Unit = {
+  def prefetch(chunkId: Long): Unit = {
     val should = lock.synchronized {
       if (map.containsKey(chunkId) || inFlight.contains(chunkId)) false
       else { inFlight += chunkId; true }
@@ -62,11 +63,8 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
     if (should) {
       prefetchPool.execute { () =>
         try {
-          if (available(chunkId)) {
-            val c = loader(chunkId)
-            put(chunkId, c)
-            lock.synchronized { prefetches += 1 }
-          }
+          put(chunkId, loader(chunkId))
+          lock.synchronized { prefetches += 1 }
         } catch { case _: Throwable => () } // prefetch is best-effort
         finally lock.synchronized { inFlight -= chunkId }
       }

@@ -40,28 +40,23 @@ final case class ReservoirConfig(
       */
     dedupRecentChunks: Int = 2)
 
-/** Summary of a finalized chunk kept in the reservoir's in-memory timestamp
-  * index (available before the asynchronous persist completes).
-  */
-final case class ChunkSummary(chunkId: Long, firstTs: Long, lastTs: Long, count: Int)
-
-/** A full chunk still accepting late events (transition state, §4.1.1),
-  * kept (ts, id)-sorted like the open chunk so reads need no sort.
-  */
-private final class TransChunk(val cid: Long, val closedAt: Long,
-                               val events: mutable.ArrayBuffer[Event]) {
-  def maxTs: Long = events.last.ts
-}
-
 /** The event reservoir (§4.1.1): stores *all* events of one task processor,
-  * with only a tiny in-memory part — the open/transition chunks at the head
-  * plus the cached chunks under each window iterator — regardless of window
-  * size.
+  * with only a tiny in-memory part — the head chunks plus the cached chunks
+  * under each window iterator — regardless of window size.
   *
-  * Events are grouped into chunks; full chunks are sorted by (ts, id),
-  * serialized, compressed and appended asynchronously to append-only files.
-  * Windows read events through [[ReservoirIterator]]s which advance in
-  * timestamp order and eagerly prefetch the next chunk.
+  * Every chunk has one lifecycle. It opens at the head of the stream and
+  * takes events, kept (ts, id)-sorted; when full it stays in *transition*,
+  * still taking late events, until the stream passes its close time plus
+  * `closeDelayMs`; then it is finalized, indexed by its last timestamp and
+  * written asynchronously (serialized, compressed) to append-only files.
+  * Chunk ids are contiguous from 0 and chunks are finalized in id order, so a
+  * chunk's id is its position in the timestamp index, in the store and, for
+  * head chunks, in the head deque (offset by the finalized count). Chunk
+  * timestamp ranges are disjoint and ordered by id.
+  *
+  * Windows read events through [[ReservoirIterator]]s, which advance in
+  * timestamp order one chunk read at a time; serving a persisted chunk
+  * prefetches the next one.
   */
 final class EventReservoir(val dir: java.nio.file.Path,
                            val config: ReservoirConfig,
@@ -70,32 +65,26 @@ final class EventReservoir(val dir: java.nio.file.Path,
   private[reservoir] var store = new ChunkStore(dir, config.chunksPerFile, registry)
   val cache = new ChunkCache(config.cacheChunks, id => store.load(id))
 
-  // ---- head-of-stream state --------------------------------------------
-  private var nextChunkId: Long = 0L
-  private var openId: Long = 0L
-  /** Open chunk, kept (ts, id)-sorted incrementally ([[ChunkCodec.insertSorted]]).
-    * Head iterators read it on every event, so it must never need a full
-    * re-sort.
+  /** Head chunks, oldest first: the transition chunks, then the open chunk,
+    * which is always last. The first has id `lastTs.size`.
     */
-  private var open = mutable.ArrayBuffer.empty[Event]
-  /** Full chunks still accepting late events. */
-  private val transition = mutable.ArrayDeque.empty[TransChunk]
-  /** Finalized but not yet persisted (async write in flight). */
-  private val pending = mutable.HashMap.empty[Long, Chunk]
-  private var lastFinalizedMaxTs: Long = Long.MinValue
+  private val headChunks = mutable.ArrayDeque(new HeadChunk(0L))
+  /** The timestamp index: the last timestamp of every finalized chunk, by id. */
+  private val lastTs = mutable.ArrayBuffer.empty[Long]
+  /** Finalized chunks whose write is in flight: the last `pending.size`
+    * finalized ids. A chunk whose write failed never leaves.
+    */
+  private val pending = mutable.ArrayDeque.empty[Chunk]
+  /** Dedup ids of the `dedupRecentChunks` most recently finalized chunks. */
+  private val recentIds = mutable.ArrayDeque.empty[mutable.HashSet[Long]]
   private var maxSeenTs: Long = Long.MinValue
   private var total: Long = 0L
-  private val index = mutable.ArrayBuffer.empty[ChunkSummary]
-
-  // dedup ids of in-memory chunks: open + transition + recent finalized
-  private val dedupSets = mutable.ArrayDeque.empty[(Long, mutable.HashSet[Long])]
-  dedupSets.append((openId, mutable.HashSet.empty[Long]))
 
   /** The one persist thread; writes run in chunk-id order. */
   private val persistPool: ExecutorService = Executors.newSingleThreadExecutor { r =>
     val t = new Thread(r, s"reservoir-persist"); t.setDaemon(true); t
   }
-  /** First write that failed; its chunk never leaves `pending`. */
+  /** First write that failed. */
   @volatile private var persistFailure: Option[Throwable] = None
 
   var duplicates: Long = 0L
@@ -105,15 +94,18 @@ final class EventReservoir(val dir: java.nio.file.Path,
   def totalEvents: Long = synchronized(total)
   def maxTimestamp: Long = synchronized(maxSeenTs)
 
+  private def open: HeadChunk = headChunks.last
+
   // ---- append -----------------------------------------------------------
 
   def append(event: Event): AppendOutcome = synchronized {
-    if (dedupSets.exists(_._2.contains(event.id))) {
+    if (headChunks.exists(_.ids.contains(event.id)) || recentIds.exists(_.contains(event.id))) {
       duplicates += 1; return AppendOutcome.Duplicate
     }
     var e = event
     var outcome: AppendOutcome = AppendOutcome.Accepted
-    if (e.ts <= lastFinalizedMaxTs) {
+    val finalizedTs = if (lastTs.isEmpty) Long.MinValue else lastTs.last
+    if (e.ts <= finalizedTs) {
       config.latePolicy match {
         case LatePolicy.Discard =>
           lateDiscarded += 1
@@ -121,56 +113,41 @@ final class EventReservoir(val dir: java.nio.file.Path,
         case LatePolicy.Rewrite =>
           // "rewritten to the first timestamp of the chunk" — land the event
           // at the earliest timestamp the open head can still accept.
-          val openMin = if (open.nonEmpty) open.head.ts else Long.MaxValue
-          val newTs = math.max(lastFinalizedMaxTs + 1, math.min(openMin, maxSeenTs))
+          val openMin = if (open.events.nonEmpty) open.events.head.ts else Long.MaxValue
+          val newTs = math.max(finalizedTs + 1, math.min(openMin, maxSeenTs))
           e = e.copy(ts = newTs)
           lateRewritten += 1
           outcome = AppendOutcome.RewrittenLate(newTs)
       }
     }
-    // A late-but-tolerated event goes to the earliest transition chunk whose
+    // A late-but-tolerated event goes to the oldest transition chunk whose
     // range can absorb it; this keeps chunk timestamp ranges disjoint and
     // ordered (events above every transition range land in the open chunk).
-    transition.find(t => e.ts <= t.maxTs) match {
-      case Some(t) =>
-        ChunkCodec.insertSorted(t.events, e)
-        dedupSets.find(_._1 == t.cid).foreach(_._2 += e.id)
-      case None =>
-        ChunkCodec.insertSorted(open, e)
-        dedupSets.find(_._1 == openId).foreach(_._2 += e.id)
-    }
+    var i = 0
+    while (i < headChunks.size - 1 && e.ts > headChunks(i).lastTs) i += 1
+    headChunks(i).add(e)
     total += 1
     if (e.ts > maxSeenTs) maxSeenTs = e.ts
-    if (open.size >= config.chunkSizeEvents) closeOpenChunk()
-    drainTransitions()
+    if (open.events.size >= config.chunkSizeEvents) closeOpen()
+    while (headChunks.size > 1 && headChunks.head.closedAt + config.closeDelayMs < maxSeenTs)
+      finalizeChunk(headChunks.removeHead())
     outcome
   }
 
-  private def closeOpenChunk(): Unit = {
-    transition.append(new TransChunk(openId, maxSeenTs, open))
-    open = mutable.ArrayBuffer.empty[Event]
-    nextChunkId += 1
-    openId = nextChunkId
-    dedupSets.append((openId, mutable.HashSet.empty[Long]))
+  /** Puts the open chunk into transition and opens the next one. */
+  private def closeOpen(): Unit = {
+    open.closedAt = maxSeenTs
+    headChunks.append(new HeadChunk(open.id + 1))
   }
 
-  private def drainTransitions(): Unit = {
-    while (transition.nonEmpty && transition.head.closedAt + config.closeDelayMs < maxSeenTs) {
-      val t = transition.removeHead()
-      finalizeChunk(t.cid, t.events)
-    }
-  }
-
-  private def finalizeChunk(cid: Long, evs: mutable.ArrayBuffer[Event]): Unit = {
-    val chunk = Chunk(cid, registry.currentId, evs.toVector) // evs is kept sorted
-    lastFinalizedMaxTs = math.max(lastFinalizedMaxTs, chunk.lastTs)
-    index += ChunkSummary(cid, chunk.firstTs, chunk.lastTs, chunk.size)
-    pending.update(cid, chunk)
-    // keep dedup ids only for the most recent finalized chunks
-    while (dedupSets.size > 1 + transition.size + config.dedupRecentChunks)
-      dedupSets.removeHead()
+  private def finalizeChunk(h: HeadChunk): Unit = {
+    val chunk = Chunk(h.id, registry.currentId, h.events.toVector) // kept sorted
+    lastTs += h.lastTs
+    pending.append(chunk)
+    recentIds.append(h.ids)
+    if (recentIds.size > config.dedupRecentChunks) recentIds.removeHead()
     persistPool.execute { () =>
-      try { store.persist(chunk); EventReservoir.this.synchronized { pending.remove(cid) } }
+      try { store.persist(chunk); EventReservoir.this.synchronized { pending.removeHead() } }
       catch { case t: Throwable => if (persistFailure.isEmpty) persistFailure = Some(t) }
     }
   }
@@ -180,17 +157,8 @@ final class EventReservoir(val dir: java.nio.file.Path,
     */
   def flush(): Unit = {
     synchronized {
-      while (transition.nonEmpty) {
-        val t = transition.removeHead()
-        if (t.events.nonEmpty) finalizeChunk(t.cid, t.events)
-      }
-      if (open.nonEmpty) {
-        closeOpenChunk()
-        while (transition.nonEmpty) {
-          val t = transition.removeHead()
-          if (t.events.nonEmpty) finalizeChunk(t.cid, t.events)
-        }
-      }
+      if (open.events.nonEmpty) closeOpen()
+      while (headChunks.size > 1) finalizeChunk(headChunks.removeHead())
     }
     drainIo()
   }
@@ -203,55 +171,43 @@ final class EventReservoir(val dir: java.nio.file.Path,
 
   // ---- reads ------------------------------------------------------------
 
-  /** Events of a chunk in (ts, id) order plus whether the chunk is final
-    * (immutable). Non-final chunks (open/transition) are served as their
-    * live, already sorted buffers: the caller reads them within one step
-    * (single-threaded step discipline) and must not keep them across steps.
+  /** The chunk an iterator standing on `chunkId` reads, or null if that
+    * chunk is not opened yet. A head chunk is served as itself, its live,
+    * already sorted buffer: the caller reads it within one step
+    * (single-threaded step discipline) and must not keep it across steps.
+    * Serving a persisted chunk schedules the prefetch of the next one, if
+    * that one is persisted too.
     */
-  private[reservoir] def readChunkEvents(chunkId: Long): (collection.IndexedSeq[Event], Boolean) =
-    synchronized {
-      if (chunkId == openId) {
-        (open, false)
-      } else transition.find(_.cid == chunkId) match {
-        case Some(t) => (t.events, false)
-        case None =>
-          pending.get(chunkId) match {
-            case Some(c) => (c.events, true)
-            case None    => (cache.get(chunkId).events, true)
-          }
-      }
+  private[reservoir] def read(chunkId: Long): ChunkEvents = synchronized {
+    val finalized = lastTs.size
+    val persisted = finalized - pending.size
+    if (chunkId >= finalized) {
+      val i = chunkId - finalized
+      if (i < headChunks.size) headChunks(i.toInt) else null
+    } else if (chunkId >= persisted) pending((chunkId - persisted).toInt)
+    else {
+      val c = cache.get(chunkId)
+      if (chunkId + 1 < persisted) cache.prefetch(chunkId + 1)
+      c
     }
-
-  private[reservoir] def chunkExists(chunkId: Long): Boolean = synchronized {
-    chunkId >= 0 && chunkId <= openId
-  }
-
-  private[reservoir] def prefetchIfFinal(chunkId: Long): Unit = {
-    val isPersisted = synchronized {
-      chunkId < openId && !pending.contains(chunkId) &&
-        !transition.exists(_.cid == chunkId) && store.metaOf(chunkId).isDefined
-    }
-    if (isPersisted) cache.prefetch(chunkId, id => store.metaOf(id).isDefined)
   }
 
   /** Iterator starting at the beginning of the stream. */
   def iterator(): ReservoirIterator = new ReservoirIterator(this, 0L)
 
   /** Iterator positioned so the first event returned has ts >= `ts` (random
-    * access through the in-memory timestamp index — used when a new window /
-    * metric is added).
+    * access through the timestamp index — used when a new window / metric is
+    * added). It starts at the first finalized chunk whose last timestamp
+    * reaches `ts`, else at the oldest head chunk.
     */
   def iteratorFrom(ts: Long): ReservoirIterator = {
-    val cid: Long = synchronized {
-      if (index.isEmpty) 0L
-      else {
-        var lo = 0; var hi = index.size - 1; var ans = -1
-        while (lo <= hi) {
-          val mid = (lo + hi) / 2
-          if (index(mid).lastTs >= ts) { ans = mid; hi = mid - 1 } else lo = mid + 1
-        }
-        if (ans == -1) openId else index(ans).chunkId
+    val cid = synchronized {
+      var lo = 0; var hi = lastTs.size
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (lastTs(mid) >= ts) hi = mid else lo = mid + 1
       }
+      lo
     }
     val it = new ReservoirIterator(this, cid)
     it.foreachBelow(ts)(_ => ()) // skip: the first event returned has ts >= `ts`
@@ -276,30 +232,22 @@ final class EventReservoir(val dir: java.nio.file.Path,
     synchronized {
       registry.write(out)
       store.writeManifest(out)
-      out.writeInt(index.size)
-      index.foreach { s =>
-        out.writeLong(s.chunkId); out.writeLong(s.firstTs); out.writeLong(s.lastTs)
-        out.writeInt(s.count)
-      }
-      out.writeLong(nextChunkId); out.writeLong(openId)
-      out.writeLong(lastFinalizedMaxTs); out.writeLong(maxSeenTs); out.writeLong(total)
+      out.writeInt(lastTs.size)
+      lastTs.foreach(out.writeLong(_))
+      out.writeLong(maxSeenTs); out.writeLong(total)
     }
   }
 
   private def restoreFrom(in: DataInputStream): Unit = synchronized {
     store.close()
     store = ChunkStore.restore(dir, config.chunksPerFile, registry, in)
-    index.clear()
     val n = in.readInt()
-    (0 until n).foreach { _ =>
-      index += ChunkSummary(in.readLong(), in.readLong(), in.readLong(), in.readInt())
-    }
-    nextChunkId = in.readLong(); openId = in.readLong()
-    lastFinalizedMaxTs = in.readLong(); maxSeenTs = in.readLong(); total = in.readLong()
-    open.clear()
-    transition.clear(); pending.clear()
-    dedupSets.clear()
-    dedupSets.append((openId, mutable.HashSet.empty[Long]))
+    require(n == store.persistedChunks, s"manifest indexes $n chunks, the store holds ${store.persistedChunks}")
+    lastTs.clear()
+    (0 until n).foreach(_ => lastTs += in.readLong())
+    maxSeenTs = in.readLong(); total = in.readLong()
+    headChunks.clear(); headChunks.append(new HeadChunk(n))
+    pending.clear(); recentIds.clear()
   }
 
   def close(): Unit = try flush() finally { persistPool.shutdown(); cache.close(); store.close() }

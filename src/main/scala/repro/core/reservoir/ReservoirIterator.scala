@@ -6,20 +6,23 @@ import scala.collection.mutable
 
 /** A window-facing cursor over the reservoir (Figure 5 of the paper).
   *
-  * Advances strictly forward in (ts, id) order; [[foreachBelow]] feeds every
-  * not-yet-delivered event with `ts < boundTs` to a callback. Each window
-  * keeps two of these — a head iterator (entering events) and a tail
-  * iterator (expiring events) — and aligned windows share them, so
-  * per-window memory is one or two chunks regardless of the window length.
+  * Advances strictly forward in (ts, id) order, one chunk at a time in chunk
+  * id order (chunk timestamp ranges are disjoint and ordered by id);
+  * [[foreachBelow]] feeds every not-yet-delivered event with `ts < boundTs`
+  * to a callback. Each window keeps two of these — a head iterator (entering
+  * events) and a tail iterator (expiring events) — and aligned windows share
+  * them, so per-window memory is one or two chunks regardless of the window
+  * length.
   *
-  * On a final (immutable) chunk the iterator holds the chunk's events and
-  * the index of its next event, so a call that delivers nothing costs one
-  * comparison. It reads through the reservoir (its lock and the
-  * [[ChunkCache]]) only when it crosses into a chunk, and on every call while
-  * it stands on the open or a transition chunk: those still take
-  * out-of-order inserts, so it re-reads them and resumes after the last
-  * delivered (ts, id). Crossing into a chunk eagerly prefetches the
-  * following one, keeping disk I/O off the critical path.
+  * Each step makes one reservoir read ([[EventReservoir.read]]). A finalized
+  * chunk is immutable: the iterator holds its events and the index of its
+  * next event, so a call that delivers nothing costs one comparison, and it
+  * reads again only when it crosses into the next chunk. A head chunk still
+  * takes inserts, so the iterator stays on the first head chunk it reached
+  * and re-reads it on every call, resuming after the last delivered (ts, id);
+  * once that chunk is consumed and in transition (closed), the call reads on
+  * through the later head chunks. It leaves the head chunk only when the
+  * chunk is finalized.
   */
 final class ReservoirIterator private[reservoir] (res: EventReservoir, private var chunkId: Long) {
 
@@ -46,6 +49,7 @@ final class ReservoirIterator private[reservoir] (res: EventReservoir, private v
 
   /** Feeds `f` (and consumes) every remaining event with ts < boundTs, in order. */
   def foreachBelow(boundTs: Long)(f: Event => Unit): Unit = {
+    var next = chunkId // the chunk the next read is of
     while (true) {
       if (held != null) {
         while (pos < held.size && held(pos).ts < boundTs) {
@@ -53,23 +57,24 @@ final class ReservoirIterator private[reservoir] (res: EventReservoir, private v
           lastTs = e.ts; lastId = e.id; pos += 1
           f(e)
         }
-        // a final chunk is never the open one, so its successor exists
-        if (pos < held.size || !res.chunkExists(chunkId + 1)) return
-        chunkId += 1; held = null
-        res.prefetchIfFinal(chunkId + 1)
-      } else {
-        if (!res.chunkExists(chunkId)) return
-        val (events, isFinal) = res.readChunkEvents(chunkId)
-        if (isFinal) { held = events; pos = startIndex(events) }
-        else {
+        if (pos < held.size) return
+        // a finalized chunk is never the open one, so its successor exists
+        chunkId += 1; next = chunkId; held = null
+      } else res.read(next) match {
+        case c: Chunk => chunkId = next; held = c.events; pos = startIndex(held)
+        case h: HeadChunk =>
+          val events = h.events
           var i = startIndex(events)
           while (i < events.size && events(i).ts < boundTs) {
             val e = events(i)
             lastTs = e.ts; lastId = e.id; i += 1
             f(e)
           }
-          return
-        }
+          // A consumed transition chunk can still take an event at its last
+          // timestamp: stay on it, and read on through the later head chunks.
+          if (i < events.size || h.isOpen) return
+          next += 1
+        case null => return // not opened yet
       }
     }
   }

@@ -211,6 +211,19 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
+  test("an iterator on a consumed transition chunk reads on to the events after it") {
+    val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4,
+      closeDelayMs = 1000))
+    (0 until 4).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong))) // chunk 0 fills at ts 103
+    val it = r.iterator()
+    assert(it.advanceTo(Long.MaxValue).map(_.ts) == (100L to 103L))
+    r.append(mkEvent(10, 103)) // chunk 0 still takes its last timestamp
+    assert(it.advanceTo(Long.MaxValue).map(_.id) == Seq(10L))
+    r.append(mkEvent(11, 104)); r.append(mkEvent(12, 105)) // the open chunk
+    assert(it.advanceTo(Long.MaxValue).map(_.ts) == Seq(104L, 105L))
+    r.close()
+  }
+
   test("without closeDelay, events older than a closed chunk are late") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4))
     (0 until 4).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong)))
@@ -218,6 +231,79 @@ class ReservoirSpec extends AnyFunSuite {
     val out = r.append(mkEvent(11, 101))
     assert(out.isInstanceOf[AppendOutcome.RewrittenLate])
     r.close()
+  }
+
+  test("iteratorFrom a timestamp inside a transition chunk starts in that chunk") {
+    val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4))
+    // chunk 0 (ts 100-103) is finalized by ts 104; chunk 1 (ts 104-107) is
+    // full but still in transition: no later timestamp has arrived
+    (0 until 8).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong)))
+    assert(r.iteratorFrom(105).advanceTo(Long.MaxValue).map(_.ts) == Seq(105L, 106L, 107L))
+    assert(r.iteratorFrom(102).advanceTo(Long.MaxValue).map(_.ts) == (102L to 107L))
+    r.close()
+  }
+
+  test("appends, flushes and restores keep every accepted event exactly once, in order (property)") {
+    // An op is interpreted against the running maximum timestamp:
+    // 0 in-order, 1 out-of-order, 2 too late, 3 re-append of an earlier event,
+    // 4 flush, 5 checkpoint -> restore.
+    val genOp = Gen.frequency(
+      6 -> Gen.choose(0, 5).map(d => (0, d)),
+      3 -> Gen.choose(1, 20).map(d => (1, d)),
+      1 -> Gen.choose(0, 10).map(d => (2, d)),
+      2 -> Gen.choose(0, 1000).map(k => (3, k)),
+      1 -> Gen.const((4, 0)),
+      1 -> Gen.const((5, 0)))
+    val gen = for {
+      chunk <- Gen.choose(1, 8)
+      delay <- Gen.oneOf(0L, 1L, 7L, 30L)
+      policy <- Gen.oneOf(LatePolicy.Discard, LatePolicy.Rewrite)
+      ops <- Gen.listOf(genOp)
+    } yield (chunk, delay, policy, ops)
+    // no shrinking: shrunk tuples leave the generator's ranges (chunk size 0)
+    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (chunk, delay, policy, ops) =>
+      val dir = TestKit.tempDir("res-prop")
+      val reg = new SchemaRegistry; reg.register(fields)
+      val cfg = ReservoirConfig(chunkSizeEvents = chunk, chunksPerFile = 3, cacheChunks = 64,
+        latePolicy = policy, closeDelayMs = delay)
+      var r = new EventReservoir(dir, cfg, reg)
+      val sent = scala.collection.mutable.ArrayBuffer.empty[Event]
+      val stored = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)] // (ts, id) accepted
+      var maxTs = 1000L
+      var ok = true
+      def scan(): Seq[(Long, Long)] = r.iterator().advanceTo(Long.MaxValue).map(e => (e.ts, e.id))
+      def expected: Seq[(Long, Long)] = stored.toSeq.sorted
+      def append(e: Event): Unit = {
+        maxTs = math.max(maxTs, e.ts)
+        sent += e
+        r.append(e) match {
+          case AppendOutcome.Accepted          => stored += ((e.ts, e.id))
+          case AppendOutcome.RewrittenLate(ts) => stored += ((ts, e.id))
+          case _                               => return
+        }
+        ok &&= r.append(e) == AppendOutcome.Duplicate
+      }
+      ops.foreach {
+        case (0, d) => append(mkEvent(sent.size.toLong, maxTs + d))
+        case (1, d) => append(mkEvent(sent.size.toLong, maxTs - d))
+        case (2, d) => append(mkEvent(sent.size.toLong, d.toLong))
+        case (3, k) => if (sent.nonEmpty) append(sent(k % sent.size))
+        case (4, _) =>
+          ok &&= scan() == expected
+          r.flush()
+          ok &&= scan() == expected
+        case _ =>
+          val before = scan()
+          val bos = new ByteArrayOutputStream()
+          r.checkpoint(new DataOutputStream(bos))
+          r.close()
+          r = EventReservoir.restore(dir, cfg, new DataInputStream(new ByteArrayInputStream(bos.toByteArray)))
+          ok &&= before == expected && scan() == before
+      }
+      ok &&= scan() == expected
+      r.close()
+      ok
+    }, minSuccessful = 80)
   }
 
   // ---- cache ----------------------------------------------------------------

@@ -282,6 +282,34 @@ class TaskPlanSpec extends AnyFunSuite {
     }
   }
 
+  test("a plan rebuilt while a transition chunk exists answers like a plan never rebuilt") {
+    val events = randomEvents(200, seed = 17, keys = 2)
+    val query = q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 40 ms delayed by 10 ms", "del")
+    val (_, expected, _, _) = run(Seq(query), events)
+    val (res, store) = fixture()
+    var plan = new TaskPlan(Seq(query), res, store)
+    events.zipWithIndex.foreach { case (e, i) =>
+      res.append(e)
+      assert(plan.onEvent(e) == expected(i), s"event $i")
+      if ((i + 1) % 8 == 0) { // a chunk just filled: it is in transition until a later ts arrives
+        plan.flushState() // as TaskProcessor.addQuery / removeQuery do
+        plan = new TaskPlan(Seq(query), res, store)
+      }
+    }
+    res.close(); store.close()
+  }
+
+  test("with a close delay, an in-order stream gets the answers it gets without one") {
+    val events = randomEvents(200, seed = 23, keys = 2)
+    val query = q("SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 40 ms", "cd")
+    val (_, expected, _, _) = run(Seq(query), events)
+    // full chunks stay in transition for 30 ms of event time, under the newest events
+    val (_, out, res, store) = run(Seq(query), events,
+      ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8, closeDelayMs = 30))
+    events.indices.foreach(i => assert(out(i) == expected(i), s"event $i"))
+    res.close(); store.close()
+  }
+
   test("countDistinct costs the same state-store accesses as count(*)") {
     val events = randomEvents(300, seed = 88)
     def storeAccesses(aggSql: String): (Long, Long) = {

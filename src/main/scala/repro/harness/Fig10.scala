@@ -7,9 +7,9 @@ import repro.spark.Payments
   * from 1 node / 25 k ev/s to 50 nodes / 1 M ev/s (8 processor units per
   * node), with the p99.9 latency tracked against the M requirement.
   *
-  * Service-time samples come from actually executing one Railgun task
-  * (sum+avg+count of amount by card over a 5-min sliding window); the
-  * multi-node behaviour — skewed partition load, per-node GC pressure,
+  * Service-time samples are `TaskProcessor.processRecord` times of one
+  * Railgun task (sum+avg+count of amount by card over a 5-min sliding
+  * window); the multi-node behaviour — skewed partition load, per-node GC pressure,
   * Kafka contention past ~280 partitions — is the calibrated model in
   * [[ClusterSim]] (DESIGN.md §3 substitution 5).
   */
@@ -25,14 +25,12 @@ object Fig10 {
     50 -> 1000000.0)
 
   def serviceSamples(warmupN: Int = 20000, measureN: Int = 2000): Array[Double] = {
-    val stack = new Harness.Stack(Seq(
-      "q" -> "SELECT sum(amount), avg(amount), count(*) FROM payments GROUP BY cardId OVER sliding 5 minutes"))
-    try {
-      val events = Payments.events(warmupN + measureN, ratePerSec = 500.0,
-        nCards = 50000L, seed = 301L)
-      (0 until warmupN).foreach(_ => stack.feed(events.next()))
-      Harness.dropWarmup(stack.measure(events))
-    } finally stack.close()
+    val events = Payments.events(warmupN + measureN, ratePerSec = 500.0,
+      nCards = 50000L, seed = 301L)
+    Harness.withTask(Seq(
+      "q" -> "SELECT sum(amount), avg(amount), count(*) FROM payments GROUP BY cardId OVER sliding 5 minutes")) { task =>
+      Harness.dropWarmup(Harness.measure(task, events, warmupN).serviceMs)
+    }
   }
 
   final case class ScaleRow(nodes: Int, targetRate: Double, result: ClusterSim.ClusterResult) {

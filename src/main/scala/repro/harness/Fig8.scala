@@ -15,8 +15,8 @@ import java.nio.file.Files
   *
   * As in the paper's run (35 minutes < 60-minute window) no events expire
   * during the measurement; the cost separation is the per-event window-state
-  * work: windowSize/hop state-store accesses for hopping vs O(1) reservoir
-  * append + one aggregation state for Railgun.
+  * work: windowSize/hop state-store accesses for hopping vs Railgun's
+  * decode, O(1) reservoir append and one aggregation state.
   */
 object Fig8 {
 
@@ -41,25 +41,19 @@ object Fig8 {
     val events = Payments.events(warmupN + measureN, Rate, nCards, seed = 101L + hopMs)
     (0 until warmupN).foreach(_ => eng.onEvent(events.next()))
     Harness.settle()
-    val out = Array.newBuilder[Double]
-    events.foreach { e =>
-      val t0 = System.nanoTime()
-      eng.onEvent(e)
-      out += (System.nanoTime() - t0) / 1e6
-    }
-    out.result()
+    Harness.timeEach(events)(eng.onEvent)
   }
 
-  /** Per-event service samples of Railgun's sliding window on the same load. */
+  /** Per-event `processRecord` samples of Railgun's sliding window on the
+    * same load.
+    */
   def railgunServiceSamples(warmupN: Int, measureN: Int,
                             nCards: Long = 50000L): Array[Double] = {
-    val stack = new Harness.Stack(Seq(
-      "q" -> s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding ${WindowMs} ms"))
-    try {
-      val events = Payments.events(warmupN + measureN, Rate, nCards, seed = 103L)
-      (0 until warmupN).foreach(_ => stack.feed(events.next()))
-      stack.measure(events)
-    } finally stack.close()
+    val events = Payments.events(warmupN + measureN, Rate, nCards, seed = 103L)
+    Harness.withTask(Seq(
+      "q" -> s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding ${WindowMs} ms")) { task =>
+      Harness.measure(task, events, warmupN).serviceMs
+    }
   }
 
   /** Per-event samples of the Flink "custom fraud solution" [21]: per-event
@@ -74,13 +68,7 @@ object Fig8 {
     val events = Payments.events(preloadN + measureN, Rate, nCards, seed = 107L)
     (0 until preloadN).foreach(_ => eng.preload(events.next()))
     Harness.settle()
-    val out = Array.newBuilder[Double]
-    events.foreach { e =>
-      val t0 = System.nanoTime()
-      eng.onEvent(e)
-      out += (System.nanoTime() - t0) / 1e6
-    }
-    out.result()
+    Harness.timeEach(events)(eng.onEvent)
   }
 
   /** Runs the whole table. Sample counts chosen so the expensive small-hop

@@ -1,6 +1,7 @@
 package repro.harness
 
 import repro.core.model.Event
+import repro.core.reservoir.{CacheStats, ReservoirConfig}
 import repro.spark.Payments
 
 import scala.util.Random
@@ -63,27 +64,29 @@ object Fig9 {
 
   def runA(measureN: Int = 2000): Seq[Harness.Row] =
     WindowSizes.map { case (label, w) =>
-      val stack = new Harness.Stack(Seq(
-        "q" -> s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding $w ms"))
-      try {
-        val (events, prefillN) = prefillAndMeasure(w, measureN)
-        var i = 0
-        while (i < prefillN) { stack.feed(events.next()); i += 1 }
-        val svc = Harness.dropWarmup(stack.measure(events))
+      val (events, prefillN) = prefillAndMeasure(w, measureN)
+      Harness.withTask(Seq(
+        "q" -> s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding $w ms")) { task =>
+        val svc = Harness.dropWarmup(Harness.measure(task, events, prefillN).serviceMs)
         Harness.simulate(s"window $label", svc, Rate)
-      } finally stack.close()
+      }
     }
 
   // ---- (b) iterator sweep ------------------------------------------------------
 
   val IteratorPoints: Seq[Int] = Seq(10, 40, 80, 100, 110, 120) // windows; iterators = 2x
 
+  /** The paper's experiment (b) reservoir: 64-event chunks, a 220-chunk cache. */
+  val IteratorConfig: ReservoirConfig = ReservoirConfig(chunkSizeEvents = 64, cacheChunks = 220)
+
   /** Misaligned windows: window i has delay 0.6·i s and size 2 s, so heads
     * and tails form 2·W distinct offsets whose pairwise gaps (>= 0.2 s)
     * exceed the 64-event chunk span at 500 ev/s (0.128 s) — every iterator
-    * pins its own chunk, exactly the cache-pressure setup of the paper's
-    * experiment (b) with its 220-element chunk cache: 210 iterators fit,
-    * 240 thrash.
+    * stands on its own chunk, the cache-pressure setup of the paper's
+    * experiment (b) with its 220-element chunk cache. From 160 iterators on
+    * they span more chunks than the cache holds, so each chunk crossing
+    * misses; an iterator holds the chunk it stands on, so that costs one
+    * load per crossing, not a thrash.
     */
   def queriesFor(windows: Int): Seq[(String, String)] =
     (1 to windows).map { i =>
@@ -92,21 +95,27 @@ object Fig9 {
         s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 2000 ms delayed by $delay ms")
     }
 
-  def runB(measureN: Int = 1500, cacheChunks: Int = 220): Seq[Harness.Row] =
-    IteratorPoints.map { case w =>
-      val stack = new Harness.Stack(queriesFor(w), chunkSize = 64, cacheChunks = cacheChunks)
-      try {
-        val maxOffset = 600L * w + 2000
-        val prefillN = math.ceil((maxOffset + 2000) / 2).toInt // span at 500 ev/s => /2 ms per event
-        val events = Payments.events(prefillN + measureN, Rate, nCards = 200, seed = 211L + w)
-        var i = 0
-        while (i < prefillN) { stack.feed(events.next()); i += 1 }
-        val svc = Harness.dropWarmup(stack.measure(events))
-        val iterators = stack.plan.iteratorCount
-        val row = Harness.simulate(f"$iterators%3d iterators ($w windows)", svc, Rate)
-        val stats = stack.reservoir.cacheStats
-        row.copy(label = row.label + f" miss=${100 * (1 - stats.hitRate)}%.1f%%")
-      } finally stack.close()
+  /** One sweep point of (b): its latency row, and the chunk-cache counters
+    * over its `events` measured events.
+    */
+  final case class IteratorRow(row: Harness.Row, iterators: Int, events: Int, cache: CacheStats) {
+    def reads: Long = cache.hits + cache.misses
+    def render: String =
+      row.render + f"  reads=$reads%,d misses=${cache.misses}%,d prefetches=${cache.prefetches}%,d"
+  }
+
+  def runB(measureN: Int = 1500): Seq[IteratorRow] =
+    IteratorPoints.map { w =>
+      val maxOffset = 600L * w + 2000
+      val prefillN = math.ceil((maxOffset + 2000) / 2).toInt // span at 500 ev/s => /2 ms per event
+      val events = Payments.events(prefillN + measureN, Rate, nCards = 200, seed = 211L + w)
+      Harness.withTask(queriesFor(w), IteratorConfig) { task =>
+        val m = Harness.measure(task, events, prefillN)
+        val iterators = task.iteratorCount
+        val row = Harness.simulate(f"$iterators%3d iterators ($w windows)",
+          Harness.dropWarmup(m.serviceMs), Rate)
+        IteratorRow(row, iterators, m.serviceMs.length, m.cache)
+      }
     }
 
   def main(args: Array[String]): Unit = {

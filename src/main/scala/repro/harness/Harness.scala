@@ -1,10 +1,10 @@
 package repro.harness
 
+import repro.core.engine.{Codecs, TaskProcessor}
 import repro.core.model.Event
-import repro.core.plan.TaskPlan
 import repro.core.query.RailgunParser
-import repro.core.reservoir.{EventReservoir, ReservoirConfig, SchemaRegistry}
-import repro.core.statestore.LsmStore
+import repro.core.reservoir.{CacheStats, ReservoirConfig}
+import repro.messaging.{Record, TopicPartition}
 import repro.sim.{Percentiles, QueueSim}
 import repro.spark.Payments
 
@@ -14,10 +14,11 @@ import java.nio.file.Files
   *
   * Methodology (DESIGN.md §3 substitution 4): every engine *really executes*
   * its per-event work here while we record per-event wall-clock service
-  * times; `QueueSim` then replays those samples through an open-loop server
-  * at the paper's sustained rate plus the calibrated messaging RTT, giving
-  * end-to-end latency percentiles the way the paper's injectors measure them
-  * (coordinated-omission corrected).
+  * times; for Railgun that work is `TaskProcessor.processRecord` on the
+  * figure's task. `QueueSim` then replays those samples through an open-loop
+  * server at the paper's sustained rate plus the calibrated messaging RTT,
+  * giving end-to-end latency percentiles the way the paper's injectors
+  * measure them (coordinated-omission corrected).
   */
 object Harness {
 
@@ -38,45 +39,70 @@ object Harness {
     s"\n== $title ==\n" + f"${"config"}%-28s $cells"
   }
 
-  /** One dedicated task-processor stack (reservoir + state store + plan). */
-  final class Stack(queriesSql: Seq[(String, String)],
-                    chunkSize: Int = 4096,
-                    cacheChunks: Int = 220) {
-    val dir = Files.createTempDirectory("bench-railgun")
-    private val registry = new SchemaRegistry
-    registry.register(Payments.schemaFields)
-    val reservoir = new EventReservoir(dir.resolve("res"),
-      ReservoirConfig(chunkSizeEvents = chunkSize, cacheChunks = cacheChunks), registry)
-    val store = new LsmStore(dir.resolve("st"))
-    val plan = new TaskPlan(queriesSql.map { case (n, s) => RailgunParser.parse(s, n) },
-      reservoir, store)
+  /** The figures' task: payments partitioned by card. */
+  val PaymentsTask: TopicPartition = TopicPartition("payments.cardId", 0)
 
-    def feed(e: Event): Unit = { reservoir.append(e); plan.onEvent(e) }
-
-    /** Feeds events, returning per-event wall-clock ms. Settles first: the
-      * async persister drains and a GC clears warmup garbage, so measured
-      * samples reflect steady state rather than the prefill's debris.
-      */
-    def measure(events: Iterator[Event]): Array[Double] = {
-      settle(reservoir)
-      val out = Array.newBuilder[Double]
-      events.foreach { e =>
-        val t0 = System.nanoTime()
-        feed(e)
-        out += (System.nanoTime() - t0) / 1e6
-      }
-      out.result()
-    }
-
-    def close(): Unit = { reservoir.close(); store.close() }
+  /** Runs `body` on a fresh task processor of [[PaymentsTask]], in its own
+    * temp directory, with `queries` (name → SQL) added; closes it after.
+    */
+  def withTask[A](queries: Seq[(String, String)], config: ReservoirConfig = ReservoirConfig())
+                 (body: TaskProcessor => A): A = {
+    val task = new TaskProcessor(PaymentsTask, Files.createTempDirectory("bench-railgun"),
+      config, Payments.schemaFields)
+    try {
+      queries.foreach { case (name, sql) => task.addQuery(RailgunParser.parse(sql, name)) }
+      body(task)
+    } finally task.close()
   }
 
-  /** Measurement hygiene between prefill and measurement. */
-  def settle(reservoir: EventReservoir = null): Unit = {
-    if (reservoir != null) { reservoir.drainIo(); reservoir.cache.quiesce() }
-    System.gc()
-    Thread.sleep(100)
+  /** `events` as the task's records, at consecutive offsets after its last. */
+  def records(task: TaskProcessor, events: Iterator[Event]): Array[Record] = {
+    val from = task.lastOffset + 1
+    events.zipWithIndex.map { case (e, i) =>
+      Record(PaymentsTask.topic, PaymentsTask.partition, from + i, e.str("cardId"),
+        Codecs.eventToBytes(e), e.ts)
+    }.toArray
   }
+
+  /** Per-record service times (ms) of `processRecord` and the chunk-cache
+    * counters over those records.
+    */
+  final case class Measured(serviceMs: Array[Double], cache: CacheStats)
+
+  /** Applies the first `prefillN` of `events` untimed, then times
+    * `processRecord` alone on each of the rest, encoded before the clock
+    * starts. Settles in between; takes no checkpoint.
+    */
+  def measure(task: TaskProcessor, events: Iterator[Event], prefillN: Int): Measured = {
+    val (prefill, measured) = events.splitAt(prefillN)
+    records(task, prefill).foreach(task.processRecord)
+    val recs = records(task, measured)
+    settle(task)
+    val before = task.reservoirRef.cacheStats
+    val serviceMs = timeEach(recs.iterator)(task.processRecord)
+    val after = task.reservoirRef.cacheStats
+    Measured(serviceMs, CacheStats(after.hits - before.hits, after.misses - before.misses,
+      after.evictions - before.evictions, after.prefetches - before.prefetches))
+  }
+
+  /** Wall-clock ms of `f` on each of `xs`, timing `f` alone. */
+  def timeEach[A](xs: Iterator[A])(f: A => Any): Array[Double] =
+    xs.map { x =>
+      val t0 = System.nanoTime()
+      f(x)
+      (System.nanoTime() - t0) / 1e6
+    }.toArray
+
+  /** Measurement hygiene between prefill and measurement: the task's async
+    * chunk writes and prefetches drain, and a GC clears the prefill's garbage.
+    */
+  def settle(task: TaskProcessor): Unit = {
+    task.reservoirRef.drainIo()
+    task.reservoirRef.cache.quiesce()
+    settle()
+  }
+
+  def settle(): Unit = { System.gc(); Thread.sleep(100) }
 
   /** Replays measured service samples at `ratePerSec` and extracts the
     * paper's percentile set.

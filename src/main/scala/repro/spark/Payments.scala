@@ -1,8 +1,5 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 import repro.core.model.{Event, FieldDef, FieldType}
 
 import scala.util.Random
@@ -83,25 +80,4 @@ object Payments {
     events(n, ratePerSec, nCards, nMerchants, seed = seed).map { e =>
       Payment(e.id, e.ts, e.str("cardId"), e.str("merchantId"), e.num("amount"))
     }.toSeq
-
-  /** DataFrame variant generated distributively (for SF-style scaling):
-    * deterministic in (rows, seed).
-    */
-  def paymentsDf(spark: SparkSession, rows: Long,
-                 ratePerSec: Double = 500.0, nCards: Long = 50000L,
-                 nMerchants: Long = 2000L, seed: Long = 11L): DataFrame = {
-    val gapMs = 1000.0 / ratePerSec
-    val alpha = 1.2
-    spark.range(rows).select(
-      (col("id") + 1) as "eventId",
-      (lit(1_600_000_000_000L) + (col("id") * gapMs + rand(seed) * gapMs * 0.9).cast(LongType)) as "ts",
-      concat(lit("c"), when(rand(seed + 4) < 0.10,
-        least(lit(math.min(nCards, 5000L)),
-          greatest(lit(1L), floor(pow(rand(seed + 1) + lit(1e-12), lit(-1.0 / (alpha - 1.0)))).cast(LongType))))
-        .otherwise((rand(seed + 1) * nCards + 1).cast(LongType))) as "cardId",
-      concat(lit("m"), least(lit(nMerchants),
-        greatest(lit(1L), floor(pow(rand(seed + 2) + lit(1e-12), lit(-1.0 / (alpha - 1.0)))).cast(LongType)))) as "merchantId",
-      round(exp(lit(3.0) + randn(seed + 3) * 1.1), 2) as "amount",
-    )
-  }
 }

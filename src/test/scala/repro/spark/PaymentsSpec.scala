@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 
 /** The synthetic payments stream — the substitution for the paper's
   * proprietary fraud dataset (DESIGN.md §3.1): determinism, ordering, skew.
@@ -67,25 +66,5 @@ class PaymentsSpec extends AnyFunSuite {
       assert(e.id == p.eventId && e.ts == p.ts)
       assert(e.str("cardId") == p.cardId && e.num("amount") == p.amount)
     }
-  }
-}
-
-/** The distributed DataFrame generator variant (needs a SparkSession). */
-class PaymentsDfSpec extends SparkSpec {
-
-  test("paymentsDf is deterministic in (rows, seed) and schema-complete") {
-    val a = Payments.paymentsDf(spark, 1000, seed = 9).collect()
-    val b = Payments.paymentsDf(spark, 1000, seed = 9).collect()
-    assert(a.toSeq == b.toSeq)
-    assert(Payments.paymentsDf(spark, 10).columns.toSeq ==
-      Seq("eventId", "ts", "cardId", "merchantId", "amount"))
-  }
-
-  test("paymentsDf card ids stay within the dictionary") {
-    import spark.implicits._
-    val mx = Payments.paymentsDf(spark, 5000, nCards = 100)
-      .select(org.apache.spark.sql.functions.expr("max(cast(substring(cardId, 2) as long))"))
-      .as[Long].head()
-    assert(mx <= 100)
   }
 }

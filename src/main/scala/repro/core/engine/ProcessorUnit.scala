@@ -7,7 +7,7 @@ import repro.messaging.{Consumer, MiniKafka, Producer, Record, TopicPartition}
 
 import java.nio.file.{Files, Path}
 import scala.collection.mutable
-import scala.util.{Failure, Success, Try}
+import scala.util.{Success, Try}
 
 /** Metadata of a registered stream: its partitioner fields and schema. */
 final case class StreamMeta(name: String, partitioners: Seq[String],
@@ -59,6 +59,8 @@ final class ProcessorUnit(val unitId: String,
   var repliesSent: Long = 0L
   /** Operational records skipped because they are not a valid request. */
   var opsSkipped: Long = 0L
+  /** Event records skipped because they do not decode as an event. */
+  var eventsSkipped: Long = 0L
   var checkpointEveryEvents: Long = 512L
   private var sinceCheckpoint: Long = 0L
 
@@ -135,9 +137,12 @@ final class ProcessorUnit(val unitId: String,
       messagesProcessed += 1
       sinceCheckpoint += 1
       n += 1
+      if (reply.isEmpty) eventsSkipped += 1
       if (isActive) {
-        producer.send(replyTopic, reply.eventId.toString, Codecs.replyToBytes(reply), rec.timestamp)
-        repliesSent += 1
+        reply.foreach { r =>
+          producer.send(replyTopic, r.eventId.toString, Codecs.replyToBytes(r), rec.timestamp)
+          repliesSent += 1
+        }
         activeConsumer.commit(tp, rec.offset + 1)
       }
     }
@@ -157,17 +162,19 @@ final class ProcessorUnit(val unitId: String,
 
   /** Applies one operational request to the registry and to every live and
     * stale processor, so a stale one promoted later answers the current
-    * queries. A record that is not a valid request is skipped and counted.
+    * queries. A record that is not a valid request, or that adds a query
+    * under a name already registered, is skipped and counted: every
+    * processor, opened before or after it, answers the first definition.
     */
   private def applyOp(rec: Record): Unit =
     new String(rec.value, "UTF-8").split('\u0001') match {
       case Array("ADDQ", name, sql) =>
         Try(RailgunParser.parse(sql, name)) match {
-          case Success(q) =>
+          case Success(q) if !queries.contains(q.name) =>
             queries(q.name) = q
             val topic = StreamMeta.topic(q.stream, q.partitioner)
             (live ++ stale).foreach { case (tp, proc) => if (tp.topic == topic) proc.addQuery(q) }
-          case Failure(_) => opsSkipped += 1
+          case _ => opsSkipped += 1
         }
       case Array("DELQ", name) =>
         queries.remove(name)

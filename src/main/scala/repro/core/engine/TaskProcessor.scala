@@ -9,6 +9,7 @@ import repro.messaging.{Record, TopicPartition}
 
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
 import java.nio.file.{Files, Path}
+import scala.util.Try
 
 /** Computes *all* metrics of one (topic, partition) — Railgun's minimal unit
   * of work (§4.1). Owns a private event reservoir, a private state store and
@@ -46,26 +47,28 @@ final class TaskProcessor(val task: TopicPartition,
   /** Applies one record: append to the reservoir (deduplicating), advance
     * the plan, and return the event's reply: its id and aggregation results.
     * Duplicate deliveries (at-least-once replays) do not advance state — they
-    * answer from current values, giving exactly-once *effects*.
+    * answer from current values, giving exactly-once *effects*. A record that
+    * does not decode as an event changes nothing but the offset and has no
+    * reply (None): its event id is unknown.
     */
-  def processRecord(rec: Record): Codecs.Reply = {
-    val event = Codecs.eventFromBytes(rec.value)
-    val outcome = reservoir.append(event)
+  def processRecord(rec: Record): Option[Codecs.Reply] = {
     lastOffset = math.max(lastOffset, rec.offset)
-    val results = outcome match {
-      case AppendOutcome.Duplicate =>
-        duplicatesSeen += 1
-        plan.currentValues(event)
-      case AppendOutcome.DiscardedLate =>
-        plan.currentValues(event)
-      case AppendOutcome.RewrittenLate(newTs) =>
-        eventsProcessed += 1
-        plan.onEvent(event.copy(ts = newTs))
-      case AppendOutcome.Accepted =>
-        eventsProcessed += 1
-        plan.onEvent(event)
+    Try(Codecs.eventFromBytes(rec.value)).toOption.map { event =>
+      val results = reservoir.append(event) match {
+        case AppendOutcome.Duplicate =>
+          duplicatesSeen += 1
+          plan.currentValues(event)
+        case AppendOutcome.DiscardedLate =>
+          plan.currentValues(event)
+        case AppendOutcome.RewrittenLate(newTs) =>
+          eventsProcessed += 1
+          plan.onEvent(event.copy(ts = newTs))
+        case AppendOutcome.Accepted =>
+          eventsProcessed += 1
+          plan.onEvent(event)
+      }
+      Codecs.Reply(event.id, rec.topic, results)
     }
-    Codecs.Reply(event.id, rec.topic, results)
   }
 
   def iteratorCount: Int = plan.iteratorCount

@@ -4,21 +4,24 @@ import repro.core.model.Event
 
 import java.io.{DataInputStream, DataOutputStream}
 import java.util.concurrent.{ExecutorService, Executors}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** What happened to an appended event. */
 sealed trait AppendOutcome
 object AppendOutcome {
   case object Accepted extends AppendOutcome
-  /** Event id already seen among in-memory chunks — dropped (exactly-once). */
+  /** Event id already seen among the recent chunks — dropped (exactly-once). */
   case object Duplicate extends AppendOutcome
-  /** Arrived after its chunk closed and the policy is Discard. */
+  /** Late and the policy is Discard: dropped. */
   case object DiscardedLate extends AppendOutcome
-  /** Arrived after its chunk closed; timestamp rewritten (policy Rewrite). */
+  /** Late and the policy is Rewrite: stored at the newest timestamp, `newTs`. */
   final case class RewrittenLate(newTs: Long) extends AppendOutcome
 }
 
-/** Policy for events older than the last closed chunk (§4.1.1). */
+/** What the reservoir does with a late event, one older than the newest
+  * event it stores (§4.1.1). An event that ties the newest is not late.
+  */
 sealed trait LatePolicy
 object LatePolicy {
   case object Discard extends LatePolicy
@@ -29,34 +32,25 @@ final case class ReservoirConfig(
     chunkSizeEvents: Int = 4096,
     chunksPerFile: Int = 16,
     cacheChunks: Int = 220,
-    latePolicy: LatePolicy = LatePolicy.Rewrite,
-    /** Keeps a full chunk in a "transition" state accepting late events for
-      * this long (in event time) after it filled — the paper's watermark-like
-      * knob for extensive out-of-order support.
-      */
-    closeDelayMs: Long = 0L,
-    /** How many finalized chunks (besides open/transition) keep their ids in
-      * the dedup set.
-      */
-    dedupRecentChunks: Int = 2)
+    latePolicy: LatePolicy = LatePolicy.Rewrite)
 
 /** The event reservoir (§4.1.1): stores *all* events of one task processor,
-  * with only a tiny in-memory part — the head chunks plus the cached chunks
+  * with only a tiny in-memory part — the open chunk plus the cached chunks
   * under each window iterator — regardless of window size.
   *
-  * Every chunk has one lifecycle. It opens at the head of the stream and
-  * takes events, kept (ts, id)-sorted; when full it stays in *transition*,
-  * still taking late events, until the stream passes its close time plus
-  * `closeDelayMs`; then it is finalized, indexed by its last timestamp and
-  * written asynchronously (serialized, compressed) to append-only files.
-  * Chunk ids are contiguous from 0 and chunks are finalized in id order, so a
-  * chunk's id is its position in the timestamp index, in the store and, for
-  * head chunks, in the head deque (offset by the finalized count). Chunk
-  * timestamp ranges are disjoint and ordered by id.
+  * It is an append-only log in arrival order whose timestamps never
+  * decrease. The late rule is applied once, at [[append]]: an event older
+  * than the newest stored one is stored at the newest timestamp (policy
+  * `Rewrite`) or dropped (`Discard`), so every stored event lands at or after
+  * the position of every iterator. Every event is appended to the one open
+  * chunk; a full chunk is finalized at once, indexed by its last timestamp
+  * and written asynchronously (serialized, compressed) to append-only files.
+  * Chunk ids are contiguous from 0, so a finalized chunk's id is its position
+  * in the timestamp index and in the store, and the open chunk's id is the
+  * number of finalized chunks.
   *
-  * Windows read events through [[ReservoirIterator]]s, which advance in
-  * timestamp order one chunk read at a time; serving a persisted chunk
-  * prefetches the next one.
+  * Windows read events through [[ReservoirIterator]]s; serving a persisted
+  * chunk prefetches the next one.
   */
 final class EventReservoir(val dir: java.nio.file.Path,
                            val config: ReservoirConfig,
@@ -65,17 +59,19 @@ final class EventReservoir(val dir: java.nio.file.Path,
   private[reservoir] var store = new ChunkStore(dir, config.chunksPerFile, registry)
   val cache = new ChunkCache(config.cacheChunks, id => store.load(id))
 
-  /** Head chunks, oldest first: the transition chunks, then the open chunk,
-    * which is always last. The first has id `lastTs.size`.
+  /** The open chunk's events; its id is `lastTs.size`. Finalizing the chunk
+    * starts a new buffer, so this one never changes again.
     */
-  private val headChunks = mutable.ArrayDeque(new HeadChunk(0L))
+  private var open = mutable.ArrayBuffer.empty[Event]
+  /** Dedup ids of the open chunk. */
+  private var openIds = mutable.HashSet.empty[Long]
   /** The timestamp index: the last timestamp of every finalized chunk, by id. */
   private val lastTs = mutable.ArrayBuffer.empty[Long]
   /** Finalized chunks whose write is in flight: the last `pending.size`
     * finalized ids. A chunk whose write failed never leaves.
     */
   private val pending = mutable.ArrayDeque.empty[Chunk]
-  /** Dedup ids of the `dedupRecentChunks` most recently finalized chunks. */
+  /** Dedup ids of the most recently finalized chunks. */
   private val recentIds = mutable.ArrayDeque.empty[mutable.HashSet[Long]]
   private var maxSeenTs: Long = Long.MinValue
   private var total: Long = 0L
@@ -94,58 +90,34 @@ final class EventReservoir(val dir: java.nio.file.Path,
   def totalEvents: Long = synchronized(total)
   def maxTimestamp: Long = synchronized(maxSeenTs)
 
-  private def open: HeadChunk = headChunks.last
-
   // ---- append -----------------------------------------------------------
 
   def append(event: Event): AppendOutcome = synchronized {
-    if (headChunks.exists(_.ids.contains(event.id)) || recentIds.exists(_.contains(event.id))) {
+    if (openIds.contains(event.id) || recentIds.exists(_.contains(event.id))) {
       duplicates += 1; return AppendOutcome.Duplicate
     }
-    var e = event
-    var outcome: AppendOutcome = AppendOutcome.Accepted
-    val finalizedTs = if (lastTs.isEmpty) Long.MinValue else lastTs.last
-    if (e.ts <= finalizedTs) {
-      config.latePolicy match {
-        case LatePolicy.Discard =>
-          lateDiscarded += 1
-          return AppendOutcome.DiscardedLate
-        case LatePolicy.Rewrite =>
-          // "rewritten to the first timestamp of the chunk" — land the event
-          // at the earliest timestamp the open head can still accept.
-          val openMin = if (open.events.nonEmpty) open.events.head.ts else Long.MaxValue
-          val newTs = math.max(finalizedTs + 1, math.min(openMin, maxSeenTs))
-          e = e.copy(ts = newTs)
-          lateRewritten += 1
-          outcome = AppendOutcome.RewrittenLate(newTs)
+    val stored =
+      if (event.ts >= maxSeenTs) event
+      else config.latePolicy match {
+        case LatePolicy.Discard => lateDiscarded += 1; return AppendOutcome.DiscardedLate
+        case LatePolicy.Rewrite => lateRewritten += 1; event.copy(ts = maxSeenTs)
       }
-    }
-    // A late-but-tolerated event goes to the oldest transition chunk whose
-    // range can absorb it; this keeps chunk timestamp ranges disjoint and
-    // ordered (events above every transition range land in the open chunk).
-    var i = 0
-    while (i < headChunks.size - 1 && e.ts > headChunks(i).lastTs) i += 1
-    headChunks(i).add(e)
+    open += stored
+    openIds += stored.id
     total += 1
-    if (e.ts > maxSeenTs) maxSeenTs = e.ts
-    if (open.events.size >= config.chunkSizeEvents) closeOpen()
-    while (headChunks.size > 1 && headChunks.head.closedAt + config.closeDelayMs < maxSeenTs)
-      finalizeChunk(headChunks.removeHead())
-    outcome
+    maxSeenTs = stored.ts
+    if (open.size >= config.chunkSizeEvents) finalizeOpen()
+    if (stored eq event) AppendOutcome.Accepted else AppendOutcome.RewrittenLate(stored.ts)
   }
 
-  /** Puts the open chunk into transition and opens the next one. */
-  private def closeOpen(): Unit = {
-    open.closedAt = maxSeenTs
-    headChunks.append(new HeadChunk(open.id + 1))
-  }
-
-  private def finalizeChunk(h: HeadChunk): Unit = {
-    val chunk = Chunk(h.id, registry.currentId, h.events.toVector) // kept sorted
-    lastTs += h.lastTs
+  private def finalizeOpen(): Unit = {
+    val chunk = Chunk(lastTs.size, registry.currentId, ArraySeq.unsafeWrapArray(open.toArray))
+    lastTs += open.last.ts
     pending.append(chunk)
-    recentIds.append(h.ids)
-    if (recentIds.size > config.dedupRecentChunks) recentIds.removeHead()
+    recentIds.append(openIds)
+    if (recentIds.size > EventReservoir.DedupChunks) recentIds.removeHead()
+    open = mutable.ArrayBuffer.empty[Event]
+    openIds = mutable.HashSet.empty[Long]
     persistPool.execute { () =>
       try { store.persist(chunk); EventReservoir.this.synchronized { pending.removeHead() } }
       catch { case t: Throwable => if (persistFailure.isEmpty) persistFailure = Some(t) }
@@ -156,10 +128,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
     * checkpoints and tests; production appends stay asynchronous.
     */
   def flush(): Unit = {
-    synchronized {
-      if (open.events.nonEmpty) closeOpen()
-      while (headChunks.size > 1) finalizeChunk(headChunks.removeHead())
-    }
+    synchronized { if (open.nonEmpty) finalizeOpen() }
     drainIo()
   }
 
@@ -171,26 +140,25 @@ final class EventReservoir(val dir: java.nio.file.Path,
 
   // ---- reads ------------------------------------------------------------
 
-  /** The chunk an iterator standing on `chunkId` reads, or null if that
-    * chunk is not opened yet. A head chunk is served as itself, its live,
-    * already sorted buffer: the caller reads it within one step
-    * (single-threaded step discipline) and must not keep it across steps.
-    * Serving a persisted chunk schedules the prefetch of the next one, if
-    * that one is persisted too.
+  /** The events of chunk `chunkId`, which is open or finalized. The open
+    * chunk is served as its live buffer, which only grows until the chunk is
+    * finalized. Serving a persisted chunk schedules the prefetch of the next
+    * one, if that one is persisted too.
     */
-  private[reservoir] def read(chunkId: Long): ChunkEvents = synchronized {
+  private[reservoir] def read(chunkId: Long): collection.IndexedSeq[Event] = synchronized {
     val finalized = lastTs.size
     val persisted = finalized - pending.size
-    if (chunkId >= finalized) {
-      val i = chunkId - finalized
-      if (i < headChunks.size) headChunks(i.toInt) else null
-    } else if (chunkId >= persisted) pending((chunkId - persisted).toInt)
+    if (chunkId == finalized) open
+    else if (chunkId >= persisted) pending((chunkId - persisted).toInt).events
     else {
       val c = cache.get(chunkId)
       if (chunkId + 1 < persisted) cache.prefetch(chunkId + 1)
-      c
+      c.events
     }
   }
+
+  /** Whether chunk `chunkId` is finalized, so no event will join it. */
+  private[reservoir] def isFinalized(chunkId: Long): Boolean = synchronized(chunkId < lastTs.size)
 
   /** Iterator starting at the beginning of the stream. */
   def iterator(): ReservoirIterator = new ReservoirIterator(this, 0L)
@@ -198,7 +166,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
   /** Iterator positioned so the first event returned has ts >= `ts` (random
     * access through the timestamp index — used when a new window / metric is
     * added). It starts at the first finalized chunk whose last timestamp
-    * reaches `ts`, else at the oldest head chunk.
+    * reaches `ts`, else at the open chunk.
     */
   def iteratorFrom(ts: Long): ReservoirIterator = {
     val cid = synchronized {
@@ -238,22 +206,25 @@ final class EventReservoir(val dir: java.nio.file.Path,
     }
   }
 
+  /** Loads what [[checkpoint]] wrote into this reservoir, which is new. */
   private def restoreFrom(in: DataInputStream): Unit = synchronized {
     store.close()
     store = ChunkStore.restore(dir, config.chunksPerFile, registry, in)
     val n = in.readInt()
     require(n == store.persistedChunks, s"manifest indexes $n chunks, the store holds ${store.persistedChunks}")
-    lastTs.clear()
     (0 until n).foreach(_ => lastTs += in.readLong())
     maxSeenTs = in.readLong(); total = in.readLong()
-    headChunks.clear(); headChunks.append(new HeadChunk(n))
-    pending.clear(); recentIds.clear()
   }
 
   def close(): Unit = try flush() finally { persistPool.shutdown(); cache.close(); store.close() }
 }
 
 object EventReservoir {
+
+  /** How many finalized chunks keep their ids for deduplication, besides the
+    * open one.
+    */
+  private val DedupChunks = 2
 
   /** Restores a reservoir from a checkpoint manifest over an existing (or
     * copied) data directory. The manifest must have been written by

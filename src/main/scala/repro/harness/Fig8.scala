@@ -35,13 +35,17 @@ object Fig8 {
   /** Per-event service samples of the hopping baseline at a given hop. */
   def hoppingServiceSamples(hopMs: Long, warmupN: Int, measureN: Int,
                             nCards: Long = 50000L): Array[Double] = {
-    val store = new LsmStore(Files.createTempDirectory("bench-hop").resolve("st"),
-      memtableLimit = 1 << 16)
-    val eng = new HoppingWindowEngine(store, WindowMs, hopMs, sumAgg, "cardId")
-    val events = Payments.events(warmupN + measureN, Rate, nCards, seed = 101L + hopMs)
-    (0 until warmupN).foreach(_ => eng.onEvent(events.next()))
-    Harness.settle()
-    Harness.timeEach(events)(eng.onEvent)
+    val dir = Files.createTempDirectory("bench-hop")
+    try {
+      val store = new LsmStore(dir.resolve("st"), memtableLimit = 1 << 16)
+      try {
+        val eng = new HoppingWindowEngine(store, WindowMs, hopMs, sumAgg, "cardId")
+        val events = Payments.events(warmupN + measureN, Rate, nCards, seed = 101L + hopMs)
+        (0 until warmupN).foreach(_ => eng.onEvent(events.next()))
+        Harness.settle()
+        Harness.timeEach(events)(eng.onEvent)
+      } finally store.close()
+    } finally Harness.deleteTree(dir)
   }
 
   /** Per-event `processRecord` samples of Railgun's sliding window on the

@@ -4,6 +4,7 @@ import org.scalacheck.{Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
 import repro.core.model.Event
 import repro.core.query.JexlLite
+import repro.harness.Harness
 
 import java.nio.file.{Files, Path}
 
@@ -37,9 +38,13 @@ object TestKit {
     }
   }
 
+  private val tempDirs = new java.util.concurrent.ConcurrentLinkedQueue[Path]()
+  sys.addShutdownHook(tempDirs.forEach(d => Harness.deleteTree(d)))
+
+  /** A new temp directory, deleted with its contents when the JVM exits. */
   def tempDir(prefix: String): Path = {
     val d = Files.createTempDirectory(prefix)
-    d.toFile.deleteOnExit()
+    tempDirs.add(d)
     d
   }
 

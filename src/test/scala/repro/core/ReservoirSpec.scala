@@ -38,7 +38,7 @@ class ReservoirSpec extends AnyFunSuite {
       if (omit) Map("cardId" -> s"c$id") else Map("amount" -> amt, "cardId" -> s"c$id", "n" -> id))
     TestKit.checkProp(Prop.forAll(Gen.nonEmptyListOf(genEvent)) { evs =>
       val distinct = evs.zipWithIndex.map { case (e, i) => e.copy(id = i.toLong) }
-      val sorted = distinct.sorted(ChunkCodec.eventOrdering).toVector
+      val sorted = distinct.sortBy(e => (e.ts, e.id)).toVector
       val chunk = Chunk(0L, sid, sorted)
       val back = ChunkCodec.deserialize(ChunkCodec.serialize(chunk, reg.get(sid)), reg)
       back == chunk
@@ -174,7 +174,7 @@ class ReservoirSpec extends AnyFunSuite {
       cacheChunks = 4, latePolicy = LatePolicy.Rewrite))
     (0 until 12).foreach(i => r.append(mkEvent(i.toLong, i.toLong * 100)))
     r.append(mkEvent(99, 50)) match {
-      case AppendOutcome.RewrittenLate(newTs) => assert(newTs > 50)
+      case AppendOutcome.RewrittenLate(newTs) => assert(newTs == 1100) // the newest timestamp
       case other                              => fail(s"unexpected $other")
     }
     // the event is stored and iterable at its rewritten position
@@ -184,50 +184,39 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
-  test("out-of-order events within the open chunk are sorted at close") {
-    val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 4))
-    Seq(5L, 3L, 8L, 1L, 7L, 2L, 6L, 4L).zipWithIndex.foreach { case (ts, i) =>
-      assert(r.append(mkEvent(i.toLong, ts * 10)) == AppendOutcome.Accepted)
+  test("late events get the newest timestamp or are dropped") {
+    for (policy <- Seq(LatePolicy.Rewrite, LatePolicy.Discard)) {
+      val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 3, chunksPerFile = 4, cacheChunks = 4,
+        latePolicy = policy))
+      val rewrite = policy == LatePolicy.Rewrite
+      def lateOutcome(newest: Long) =
+        if (rewrite) AppendOutcome.RewrittenLate(newest) else AppendOutcome.DiscardedLate
+      assert(r.append(mkEvent(5, 50)) == AppendOutcome.Accepted)
+      assert(r.append(mkEvent(6, 30)) == lateOutcome(50))
+      assert(r.append(mkEvent(7, 80)) == AppendOutcome.Accepted)
+      assert(r.append(mkEvent(4, 80)) == AppendOutcome.Accepted) // ties the newest, smaller id
+      val it = r.iterator()
+      assert(it.advanceTo(81).size == (if (rewrite) 4 else 3))
+      // a late event lands after every iterator's position, so it still reaches this one
+      assert(r.append(mkEvent(8, 79)) == lateOutcome(80))
+      assert(it.advanceTo(81).map(e => (e.id, e.ts)) == (if (rewrite) Seq((8L, 80L)) else Nil))
+      assert(r.append(mkEvent(9, 90)) == AppendOutcome.Accepted)
+      val want =
+        if (rewrite) Seq((5L, 50L), (6L, 50L), (7L, 80L), (4L, 80L), (8L, 80L), (9L, 90L))
+        else Seq((5L, 50L), (7L, 80L), (4L, 80L), (9L, 90L))
+      // arrival order at the stored timestamps, in memory and read back from disk
+      assert(r.iterator().advanceTo(Long.MaxValue).map(e => (e.id, e.ts)) == want)
+      r.flush()
+      assert(r.iterator().advanceTo(Long.MaxValue).map(e => (e.id, e.ts)) == want)
+      assert(r.lateRewritten == (if (rewrite) 2 else 0) && r.lateDiscarded == (if (rewrite) 0 else 2))
+      r.close()
     }
-    r.flush()
-    val got = r.iterator().advanceTo(Long.MaxValue)
-    assert(got.map(_.ts) == Seq(10L, 20L, 30L, 40L, 50L, 60L, 70L, 80L))
-    r.close()
-  }
-
-  test("closeDelay keeps a full chunk accepting late events (transition state)") {
-    val cfg = ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4,
-      closeDelayMs = 1000)
-    val r = mkReservoir(cfg)
-    (0 until 4).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong))) // chunk fills at ts 103
-    r.append(mkEvent(10, 200)) // next chunk; transition still open (200 < 103+1000)
-    val late = r.append(mkEvent(11, 101)) // late, lands inside the transition chunk
-    assert(late == AppendOutcome.Accepted)
-    r.append(mkEvent(12, 2000)) // watermark passes -> transition finalizes
-    r.flush()
-    val got = r.iterator().advanceTo(Long.MaxValue)
-    assert(got.map(_.ts) == got.map(_.ts).sorted)
-    assert(got.count(_.id == 11) == 1)
-    r.close()
-  }
-
-  test("an iterator on a consumed transition chunk reads on to the events after it") {
-    val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4,
-      closeDelayMs = 1000))
-    (0 until 4).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong))) // chunk 0 fills at ts 103
-    val it = r.iterator()
-    assert(it.advanceTo(Long.MaxValue).map(_.ts) == (100L to 103L))
-    r.append(mkEvent(10, 103)) // chunk 0 still takes its last timestamp
-    assert(it.advanceTo(Long.MaxValue).map(_.id) == Seq(10L))
-    r.append(mkEvent(11, 104)); r.append(mkEvent(12, 105)) // the open chunk
-    assert(it.advanceTo(Long.MaxValue).map(_.ts) == Seq(104L, 105L))
-    r.close()
   }
 
   test("without closeDelay, events older than a closed chunk are late") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4))
     (0 until 4).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong)))
-    r.append(mkEvent(10, 200)) // closes chunk 0 for good (maxSeen advances)
+    r.append(mkEvent(10, 200)) // the newest timestamp
     val out = r.append(mkEvent(11, 101))
     assert(out.isInstanceOf[AppendOutcome.RewrittenLate])
     r.close()
@@ -235,8 +224,8 @@ class ReservoirSpec extends AnyFunSuite {
 
   test("iteratorFrom a timestamp inside a transition chunk starts in that chunk") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4))
-    // chunk 0 (ts 100-103) is finalized by ts 104; chunk 1 (ts 104-107) is
-    // full but still in transition: no later timestamp has arrived
+    // chunks 0 (ts 100-103) and 1 (ts 104-107) are finalized as they fill;
+    // no later timestamp has arrived, so the open chunk is empty
     (0 until 8).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong)))
     assert(r.iteratorFrom(105).advanceTo(Long.MaxValue).map(_.ts) == Seq(105L, 106L, 107L))
     assert(r.iteratorFrom(102).advanceTo(Long.MaxValue).map(_.ts) == (102L to 107L))
@@ -256,30 +245,42 @@ class ReservoirSpec extends AnyFunSuite {
       1 -> Gen.const((5, 0)))
     val gen = for {
       chunk <- Gen.choose(1, 8)
-      delay <- Gen.oneOf(0L, 1L, 7L, 30L)
       policy <- Gen.oneOf(LatePolicy.Discard, LatePolicy.Rewrite)
       ops <- Gen.listOf(genOp)
-    } yield (chunk, delay, policy, ops)
+    } yield (chunk, policy, ops)
     // no shrinking: shrunk tuples leave the generator's ranges (chunk size 0)
-    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (chunk, delay, policy, ops) =>
+    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (chunk, policy, ops) =>
       val dir = TestKit.tempDir("res-prop")
       val reg = new SchemaRegistry; reg.register(fields)
       val cfg = ReservoirConfig(chunkSizeEvents = chunk, chunksPerFile = 3, cacheChunks = 64,
-        latePolicy = policy, closeDelayMs = delay)
+        latePolicy = policy)
       var r = new EventReservoir(dir, cfg, reg)
       val sent = scala.collection.mutable.ArrayBuffer.empty[Event]
-      val stored = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)] // (ts, id) accepted
+      // the model: every stored event as (ts, id), in arrival order at its stored timestamp
+      val stored = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
       var maxTs = 1000L
       var ok = true
       def scan(): Seq[(Long, Long)] = r.iterator().advanceTo(Long.MaxValue).map(e => (e.ts, e.id))
-      def expected: Seq[(Long, Long)] = stored.toSeq.sorted
+      def expected: Seq[(Long, Long)] = stored.toSeq
       def append(e: Event): Unit = {
         maxTs = math.max(maxTs, e.ts)
         sent += e
+        // the late rule: an event older than the newest stored one is late
+        val newest = stored.lastOption.fold(Long.MinValue)(_._1)
+        val late = e.ts < newest
         r.append(e) match {
-          case AppendOutcome.Accepted          => stored += ((e.ts, e.id))
-          case AppendOutcome.RewrittenLate(ts) => stored += ((ts, e.id))
-          case _                               => return
+          case AppendOutcome.Accepted =>
+            ok &&= !late
+            stored += ((e.ts, e.id))
+          case AppendOutcome.RewrittenLate(ts) =>
+            ok &&= late && policy == LatePolicy.Rewrite && ts == newest
+            stored += ((ts, e.id))
+          case AppendOutcome.DiscardedLate =>
+            ok &&= late && policy == LatePolicy.Discard
+            return
+          case AppendOutcome.Duplicate =>
+            ok &&= stored.exists(_._2 == e.id)
+            return
         }
         ok &&= r.append(e) == AppendOutcome.Duplicate
       }

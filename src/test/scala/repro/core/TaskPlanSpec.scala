@@ -6,9 +6,10 @@ import repro.TestKit
 import repro.core.model.{Event, FieldDef, FieldType}
 import repro.core.plan.TaskPlan
 import repro.core.query._
-import repro.core.reservoir.{EventReservoir, ReservoirConfig, SchemaRegistry}
+import repro.core.reservoir.{AppendOutcome, EventReservoir, LatePolicy, ReservoirConfig, SchemaRegistry}
 import repro.core.statestore.LsmStore
 
+import scala.collection.mutable
 import scala.util.Random
 
 /** Correctness of real-time sliding-window aggregation through the full
@@ -291,22 +292,11 @@ class TaskPlanSpec extends AnyFunSuite {
     events.zipWithIndex.foreach { case (e, i) =>
       res.append(e)
       assert(plan.onEvent(e) == expected(i), s"event $i")
-      if ((i + 1) % 8 == 0) { // a chunk just filled: it is in transition until a later ts arrives
+      if ((i + 1) % 8 == 0) { // a chunk just filled and was finalized; the open chunk is empty
         plan.flushState() // as TaskProcessor.addQuery / removeQuery do
         plan = new TaskPlan(Seq(query), res, store)
       }
     }
-    res.close(); store.close()
-  }
-
-  test("with a close delay, an in-order stream gets the answers it gets without one") {
-    val events = randomEvents(200, seed = 23, keys = 2)
-    val query = q("SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 40 ms", "cd")
-    val (_, expected, _, _) = run(Seq(query), events)
-    // full chunks stay in transition for 30 ms of event time, under the newest events
-    val (_, out, res, store) = run(Seq(query), events,
-      ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8, closeDelayMs = 30))
-    events.indices.foreach(i => assert(out(i) == expected(i), s"event $i"))
     res.close(); store.close()
   }
 
@@ -416,5 +406,73 @@ class TaskPlanSpec extends AnyFunSuite {
         }
       }
     }, minSuccessful = 40)
+  }
+
+  test("out-of-order, tied and re-appended events match brute force at their stored timestamps (property)") {
+    // An op is interpreted against the newest timestamp sent so far: 0 in order,
+    // 1 out of order, 2 tying the newest with a smaller id than any sent, 3 re-append.
+    val genOp = Gen.frequency(
+      6 -> Gen.choose(0L, 6L).map(d => (0, d)),
+      2 -> Gen.choose(1L, 60L).map(d => (1, d)),
+      1 -> Gen.const((2, 0L)),
+      1 -> Gen.choose(0L, 1000L).map(k => (3, k)))
+    val gen = for {
+      policy <- Gen.oneOf(LatePolicy.Rewrite, LatePolicy.Discard)
+      chunk <- Gen.choose(1, 8)
+      size <- Gen.choose(5L, 60L)
+      delayedSize <- Gen.choose(5L, 60L)
+      delay <- Gen.choose(1L, 30L)
+      ops <- Gen.listOfN(80, genOp)
+      cards <- Gen.listOfN(80, Gen.choose(0, 2))
+      amounts <- Gen.listOfN(80, Gen.choose(1, 100))
+    } yield (policy, chunk, Vector((size, 0L), (delayedSize, delay)), ops, cards, amounts)
+    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (policy, chunk, windows, ops, cards, amounts) =>
+      val queries = windows.zipWithIndex.map { case ((size, delay), w) =>
+        q(s"SELECT count(*), sum(amount), max(amount), min(amount) FROM payments " +
+          s"GROUP BY cardId OVER sliding $size ms delayed by $delay ms", s"w$w")
+      }
+      val (res, store) = fixture(ReservoirConfig(chunkSizeEvents = chunk, chunksPerFile = 2,
+        cacheChunks = 2, latePolicy = policy))
+      val plan = new TaskPlan(queries, res, store)
+      val sent = mutable.ArrayBuffer.empty[Event]
+      val stored = mutable.ArrayBuffer.empty[Event] // in arrival order, at the stored timestamps
+      var newest = 1000L
+      var nextId = 1000L
+      var smallId = 999L
+      var ok = true
+      ops.zipWithIndex.foreach { case ((op, d), i) =>
+        def fresh(id: Long, ts: Long) = Event(id, ts, Map(
+          "amount" -> amounts(i).toDouble, "cardId" -> s"c${cards(i)}", "merchantId" -> "m"))
+        val e = op match {
+          case 0 => nextId += 1; fresh(nextId, newest + d)
+          case 1 => nextId += 1; fresh(nextId, newest - d)
+          case 2 => smallId -= 1; fresh(smallId, newest)
+          case _ => if (sent.isEmpty) fresh(smallId, newest) else sent((d % sent.size).toInt)
+        }
+        newest = math.max(newest, e.ts)
+        sent += e
+        val applied = res.append(e) match {
+          case AppendOutcome.Accepted            => Some(e)
+          case AppendOutcome.RewrittenLate(newTs) => Some(e.copy(ts = newTs))
+          case _                                 => plan.currentValues(e); None
+        }
+        applied.foreach { a =>
+          stored += a
+          val out = plan.onEvent(a)
+          windows.zipWithIndex.foreach { case ((size, delay), w) =>
+            // the delayed window (t - delay - size, t - delay] over the events stored so far
+            val win = stored.filter(x => x.str("cardId") == a.str("cardId") &&
+              x.ts > a.ts - delay - size && x.ts <= a.ts - delay).toSeq
+            def got(agg: String) = out.find(r => r.query == s"w$w" && r.agg == agg).get.value
+            ok &&= got("count(*)").contains(TestKit.count(win)) &&
+              TestKit.approxEq(got("sum(amount)"), TestKit.sum(win, "amount")) &&
+              TestKit.approxEq(got("max(amount)"), TestKit.mx(win, "amount")) &&
+              TestKit.approxEq(got("min(amount)"), TestKit.mn(win, "amount"))
+          }
+        }
+      }
+      res.close(); store.close()
+      ok
+    }, minSuccessful = 60)
   }
 }

@@ -5,7 +5,7 @@ import repro.TestKit
 import repro.core.engine.{RailgunCluster, StreamMeta}
 import repro.core.model.Event
 import repro.core.reservoir.ReservoirConfig
-import repro.messaging.MiniKafka
+import repro.messaging.{MiniKafka, TopicPartition}
 import repro.spark.Payments
 
 import scala.util.Random
@@ -221,6 +221,48 @@ class RailgunClusterSpec extends AnyFunSuite {
         TestKit.sum(byCard(i), "amount")), s"sum @ $i")
     }
     cluster.allUnits.foreach(u => assert(u.opsSkipped == 2, s"${u.unitId} skipped ${u.opsSkipped}"))
+    cluster.close()
+  }
+
+  test("re-adding a registered query name is skipped: every processor keeps the first definition") {
+    val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
+    cluster.addQuery("q", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    val events = mkEvents(160, seed = 23)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    events.zipWithIndex.foreach { case (e, i) =>
+      if (i == 60) cluster.addQuery("q", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 30 ms")
+      // node0's tasks are replayed on node1 by processors opened after the second ADDQ
+      if (i == 100) cluster.failNode("node0")
+      val r = cluster.process("payments", e)
+      assert(r.find(_.query == "q").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
+    }
+    cluster.allUnits.foreach(u => assert(u.opsSkipped == 1, s"${u.unitId} skipped ${u.opsSkipped}"))
+    cluster.close()
+  }
+
+  test("an event record that does not decode is skipped, counted once per unit that polls it") {
+    val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 2)
+    cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    val events = mkEvents(120, seed = 29)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    var garbage: Option[TopicPartition] = None
+    events.zipWithIndex.foreach { case (e, i) =>
+      if (i == 50) {
+        val (partition, _) = cluster.kafka.producer().send("payments.cardId", "c1", Array[Byte](1, 2, 3))
+        garbage = Some(TopicPartition("payments.cardId", partition))
+      }
+      val r = cluster.process("payments", e)
+      assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
+      assert(TestKit.approxEq(r.find(_.agg == "sum(amount)").get.value,
+        TestKit.sum(byCard(i), "amount")), s"sum @ $i")
+    }
+    val tp = garbage.get
+    val pollers = cluster.allUnits.filter(u =>
+      u.activeConsumer.assignment.contains(tp) || u.replicaConsumer.assignment.contains(tp))
+    assert(pollers.size == 2, s"the active copy and its replica poll $tp: ${pollers.map(_.unitId)}")
+    cluster.allUnits.foreach { u =>
+      assert(u.eventsSkipped == (if (pollers.contains(u)) 1 else 0), s"${u.unitId} skipped ${u.eventsSkipped}")
+    }
     cluster.close()
   }
 

@@ -22,7 +22,7 @@ class HarnessSpec extends AnyFunSuite {
         val records = Harness.records(task, events.iterator)
         assert(records.map(_.offset).toSeq == events.indices.map(_.toLong))
         records.zip(events).zipWithIndex.foreach { case ((rec, e), i) =>
-          val reply = task.processRecord(rec)
+          val reply = task.processRecord(rec).get
           assert(reply.eventId == e.id && reply.topic == Harness.PaymentsTask.topic)
           def value(agg: String) = reply.results.find(_.agg == agg).get.value
           assert(TestKit.approxEq(value("sum(amount)"), TestKit.sum(truth(i), "amount")), s"sum @ $i")

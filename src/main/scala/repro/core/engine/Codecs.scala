@@ -1,12 +1,13 @@
 package repro.core.engine
 
-import repro.core.model.Event
+import repro.core.model.{Event, FieldType}
 import repro.core.plan.MetricResult
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 
 /** Wire codecs for events and aggregation replies travelling over the
-  * messaging layer.
+  * messaging layer. An event field travels as its name, its
+  * `FieldType.code` and its value as the reservoir's chunks store it.
   */
 object Codecs {
 
@@ -20,13 +21,9 @@ object Codecs {
     out.writeInt(e.values.size)
     e.values.foreach { case (k, v) =>
       out.writeUTF(k)
-      v match {
-        case l: Long   => out.writeByte(0); out.writeLong(l)
-        case i: Int    => out.writeByte(0); out.writeLong(i.toLong)
-        case d: Double => out.writeByte(1); out.writeDouble(d)
-        case s: String => out.writeByte(2); out.writeUTF(s)
-        case other     => out.writeByte(2); out.writeUTF(String.valueOf(other))
-      }
+      val t = FieldType.of(v)
+      out.writeByte(FieldType.code(t))
+      FieldType.write(out, t, v)
     }
     out.flush()
     bos.toByteArray
@@ -40,12 +37,7 @@ object Codecs {
     val b = Map.newBuilder[String, Any]
     (0 until n).foreach { _ =>
       val k = in.readUTF()
-      val v: Any = in.readByte() match {
-        case 0 => in.readLong()
-        case 1 => in.readDouble()
-        case 2 => in.readUTF()
-      }
-      b += k -> v
+      b += k -> FieldType.read(in, FieldType.fromCode(in.readByte()))
     }
     Event(id, ts, b.result())
   }

@@ -8,7 +8,7 @@ import repro.core.statestore.LsmStore
 import repro.messaging.{Record, TopicPartition}
 
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
-import java.nio.file.{Files, Path}
+import java.nio.file.{Files, Path, StandardCopyOption}
 import scala.util.Try
 
 /** Computes *all* metrics of one (topic, partition) — Railgun's minimal unit
@@ -48,12 +48,13 @@ final class TaskProcessor(val task: TopicPartition,
     * the plan, and return the event's reply: its id and aggregation results.
     * Duplicate deliveries (at-least-once replays) do not advance state — they
     * answer from current values, giving exactly-once *effects*. A record that
-    * does not decode as an event changes nothing but the offset and has no
-    * reply (None): its event id is unknown.
+    * does not decode as an event, or whose event lacks a group-by or
+    * aggregated field of the plan, changes nothing but the offset and has no
+    * reply (None).
     */
   def processRecord(rec: Record): Option[Codecs.Reply] = {
     lastOffset = math.max(lastOffset, rec.offset)
-    Try(Codecs.eventFromBytes(rec.value)).toOption.map { event =>
+    Try(Codecs.eventFromBytes(rec.value)).toOption.filter(plan.canApply).map { event =>
       val results = reservoir.append(event) match {
         case AppendOutcome.Duplicate =>
           duplicatesSeen += 1
@@ -123,11 +124,8 @@ final class TaskProcessor(val task: TopicPartition,
     */
   def copyCheckpointTo(destDir: Path): Unit = {
     checkpoint()
-    Files.createDirectories(destDir)
-    repro.core.reservoir.ChunkStore.copyFiles(dir.resolve("reservoir"), destDir.resolve("reservoir"))
-    LsmStore.copyFiles(dir.resolve("state"), destDir.resolve("state"))
-    Files.copy(checkpointPath, TaskProcessor.checkpointFile(destDir),
-      java.nio.file.StandardCopyOption.REPLACE_EXISTING)
+    Seq("reservoir", "state").foreach(d => TaskProcessor.copyFiles(dir.resolve(d), destDir.resolve(d)))
+    Files.copy(checkpointPath, TaskProcessor.checkpointFile(destDir), StandardCopyOption.REPLACE_EXISTING)
   }
 
   def close(): Unit = {
@@ -139,4 +137,15 @@ final class TaskProcessor(val task: TopicPartition,
 object TaskProcessor {
   /** The checkpoint manifest of the task processor whose directory is `dir`. */
   def checkpointFile(dir: Path): Path = dir.resolve("checkpoint.bin")
+
+  /** Copies every file of `src` into `dst`. Right after a checkpoint a
+    * reservoir directory holds only chunk files and a state directory only
+    * the segments its manifest lists, so this copies a checkpoint's data.
+    */
+  private[core] def copyFiles(src: Path, dst: Path): Unit = {
+    Files.createDirectories(dst)
+    val files = Files.list(src)
+    try files.forEach(p => Files.copy(p, dst.resolve(p.getFileName), StandardCopyOption.REPLACE_EXISTING))
+    finally files.close()
+  }
 }

@@ -1,5 +1,7 @@
 package repro.core.model
 
+import java.io.{DataInput, DataOutput}
+
 /** Field types supported by the Railgun event schema (§4.1.1 schema registry). */
 sealed trait FieldType
 object FieldType {
@@ -13,6 +15,29 @@ object FieldType {
   def fromCode(b: Byte): FieldType = b match {
     case 0 => LongT; case 1 => DoubleT; case 2 => StringT
     case other => throw new IllegalArgumentException(s"unknown field type code $other")
+  }
+
+  /** The type a value travels as: integers are longs, and a value of no
+    * field type travels as its string form.
+    */
+  def of(v: Any): FieldType = v match {
+    case _: Long | _: Int => LongT
+    case _: Double        => DoubleT
+    case _                => StringT
+  }
+
+  /** Writes `v` as a `t` value, coercing numbers and numeric strings. */
+  def write(out: DataOutput, t: FieldType, v: Any): Unit = t match {
+    case LongT   => out.writeLong(v match { case l: Long => l; case i: Int => i.toLong; case d: Double => d.toLong; case s: String => s.toLong })
+    case DoubleT => out.writeDouble(v match { case d: Double => d; case l: Long => l.toDouble; case i: Int => i.toDouble; case s: String => s.toDouble })
+    case StringT => out.writeUTF(String.valueOf(v))
+  }
+
+  /** Reads a `t` value that [[write]] wrote. */
+  def read(in: DataInput, t: FieldType): Any = t match {
+    case LongT   => in.readLong()
+    case DoubleT => in.readDouble()
+    case StringT => in.readUTF()
   }
 }
 

@@ -189,6 +189,15 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
     m.values.toVector
   }
 
+  /** The group-by and aggregated fields of every query. */
+  private val fieldsRead: Array[String] =
+    queries.flatMap(q => q.groupBy ++ q.aggs.flatMap(_.field)).distinct.toArray
+
+  /** Whether `e` has every group-by and aggregated field; the plan cannot
+    * place or aggregate an event that lacks one.
+    */
+  def canApply(e: Event): Boolean = fieldsRead.forall(e.values.contains)
+
   /** Number of distinct prefix nodes (DAG sharing effectiveness). */
   def prefixNodeCount: Int = nodes.size
 

@@ -39,13 +39,7 @@ object ChunkCodec {
       schema.fields.foreach { f =>
         e.values.get(f.name) match {
           case None => out.writeBoolean(false)
-          case Some(v) =>
-            out.writeBoolean(true)
-            f.ftype match {
-              case FieldType.LongT   => out.writeLong(v match { case l: Long => l; case i: Int => i.toLong; case d: Double => d.toLong; case s: String => s.toLong })
-              case FieldType.DoubleT => out.writeDouble(v match { case d: Double => d; case l: Long => l.toDouble; case i: Int => i.toDouble; case s: String => s.toDouble })
-              case FieldType.StringT => out.writeUTF(v.toString)
-            }
+          case Some(v) => out.writeBoolean(true); FieldType.write(out, f.ftype, v)
         }
       }
     }
@@ -64,14 +58,7 @@ object ChunkCodec {
       val ts = in.readLong()
       val b = Map.newBuilder[String, Any]
       schema.fields.foreach { f =>
-        if (in.readBoolean()) {
-          val v: Any = f.ftype match {
-            case FieldType.LongT   => in.readLong()
-            case FieldType.DoubleT => in.readDouble()
-            case FieldType.StringT => in.readUTF()
-          }
-          b += f.name -> v
-        }
+        if (in.readBoolean()) b += f.name -> FieldType.read(in, f.ftype)
       }
       Event(id, ts, b.result())
     }

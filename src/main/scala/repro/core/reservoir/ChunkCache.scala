@@ -85,6 +85,4 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
   def stats: CacheStats = lock.synchronized(CacheStats(hits, misses, evictions, prefetches))
 }
 
-final case class CacheStats(hits: Long, misses: Long, evictions: Long, prefetches: Long) {
-  def hitRate: Double = if (hits + misses == 0) 1.0 else hits.toDouble / (hits + misses)
-}
+final case class CacheStats(hits: Long, misses: Long, evictions: Long, prefetches: Long)

@@ -118,17 +118,4 @@ object ChunkStore {
     s.readManifest(in)
     s
   }
-
-  /** Copies a checkpoint of `src`'s data files into `dst` (recovery transfer). */
-  def copyFiles(src: Path, dst: Path): Unit = {
-    Files.createDirectories(dst)
-    val stream = Files.list(src)
-    try {
-      stream.forEach { p =>
-        if (p.getFileName.toString.endsWith(".dat"))
-          Files.copy(p, dst.resolve(p.getFileName),
-            java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-      }
-    } finally stream.close()
-  }
 }

@@ -22,7 +22,19 @@ object AppendOutcome {
 /** What the reservoir does with a late event, one older than the newest
   * event it stores (§4.1.1). An event that ties the newest is not late.
   */
-sealed trait LatePolicy
+sealed trait LatePolicy {
+
+  /** The timestamp at which an event stamped `ts` is stored when the newest
+    * stored event is stamped `newest`, or None when it is dropped. The one
+    * late rule of the engine's reservoir and of the Spark operator.
+    */
+  final def place(ts: Long, newest: Long): Option[Long] =
+    if (ts >= newest) Some(ts)
+    else this match {
+      case LatePolicy.Discard => None
+      case LatePolicy.Rewrite => Some(newest)
+    }
+}
 object LatePolicy {
   case object Discard extends LatePolicy
   case object Rewrite extends LatePolicy
@@ -39,10 +51,10 @@ final case class ReservoirConfig(
   * under each window iterator — regardless of window size.
   *
   * It is an append-only log in arrival order whose timestamps never
-  * decrease. The late rule is applied once, at [[append]]: an event older
-  * than the newest stored one is stored at the newest timestamp (policy
-  * `Rewrite`) or dropped (`Discard`), so every stored event lands at or after
-  * the position of every iterator. Every event is appended to the one open
+  * decrease. The late rule, [[LatePolicy.place]], is applied once, at
+  * [[append]]: an event older than the newest stored one is stored at the
+  * newest timestamp (policy `Rewrite`) or dropped (`Discard`), so every
+  * stored event lands at or after the position of every iterator. Every event is appended to the one open
   * chunk; a full chunk is finalized at once, indexed by its last timestamp
   * and written asynchronously (serialized, compressed) to append-only files.
   * Chunk ids are contiguous from 0, so a finalized chunk's id is its position
@@ -96,12 +108,11 @@ final class EventReservoir(val dir: java.nio.file.Path,
     if (openIds.contains(event.id) || recentIds.exists(_.contains(event.id))) {
       duplicates += 1; return AppendOutcome.Duplicate
     }
-    val stored =
-      if (event.ts >= maxSeenTs) event
-      else config.latePolicy match {
-        case LatePolicy.Discard => lateDiscarded += 1; return AppendOutcome.DiscardedLate
-        case LatePolicy.Rewrite => lateRewritten += 1; event.copy(ts = maxSeenTs)
-      }
+    val stored = config.latePolicy.place(event.ts, maxSeenTs) match {
+      case None                      => lateDiscarded += 1; return AppendOutcome.DiscardedLate
+      case Some(ts) if ts == event.ts => event
+      case Some(ts)                  => lateRewritten += 1; event.copy(ts = ts)
+    }
     open += stored
     openIds += stored.id
     total += 1
@@ -214,6 +225,11 @@ final class EventReservoir(val dir: java.nio.file.Path,
     require(n == store.persistedChunks, s"manifest indexes $n chunks, the store holds ${store.persistedChunks}")
     (0 until n).foreach(_ => lastTs += in.readLong())
     maxSeenTs = in.readLong(); total = in.readLong()
+    // the checkpoint finalized the open chunk, so its dedup ids were those
+    // of the last finalized chunks
+    (math.max(0, n - EventReservoir.DedupChunks) until n).foreach { id =>
+      recentIds.append(mutable.HashSet.from(store.load(id).events.iterator.map(_.id)))
+    }
   }
 
   def close(): Unit = try flush() finally { persistPool.shutdown(); cache.close(); store.close() }

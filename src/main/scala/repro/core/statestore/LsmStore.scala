@@ -378,17 +378,4 @@ object LsmStore {
     s.restoreFrom(in)
     s
   }
-
-  /** Copies checkpointed segment files between store directories (recovery). */
-  def copyFiles(src: Path, dst: Path): Unit = {
-    Files.createDirectories(dst)
-    val stream = Files.list(src)
-    try {
-      stream.forEach { p =>
-        if (p.getFileName.toString.endsWith(".sst"))
-          Files.copy(p, dst.resolve(p.getFileName),
-            java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-      }
-    } finally stream.close()
-  }
 }

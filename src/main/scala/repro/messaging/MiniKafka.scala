@@ -221,13 +221,7 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
   /** Manual assignment (no group management) — replica consumers. */
   def assign(tps: Set[TopicPartition]): Unit = {
     require(!inGroup, "cannot mix subscribe() and assign()")
-    val revoked = assigned -- tps
-    val added = tps -- assigned
-    assigned = tps
-    added.foreach(tp => positions.getOrElseUpdate(tp,
-      k.committedOffset(groupId, tp).getOrElse(0L)))
-    revoked.foreach(positions.remove)
-    rebalanceListener(revoked, added)
+    applyAssignment(tps)
   }
 
   private[messaging] def applyAssignment(tps: Set[TopicPartition]): Unit = {

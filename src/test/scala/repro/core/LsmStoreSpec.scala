@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
+import repro.core.engine.TaskProcessor
 import repro.core.statestore.{BloomFilter, LsmStore}
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
@@ -88,7 +89,7 @@ class LsmStoreSpec extends AnyFunSuite {
     (1 to 10).foreach(i => st.put("cf", s"k$i", b(s"v$i")))
     val bos = new ByteArrayOutputStream()
     st.checkpoint(new DataOutputStream(bos))
-    LsmStore.copyFiles(src, dst)
+    TaskProcessor.copyFiles(src, dst)
     val re = LsmStore.restore(dst, new DataInputStream(new ByteArrayInputStream(bos.toByteArray)))
     (1 to 10).foreach(i => assert(re.get("cf", s"k$i").map(s).contains(s"v$i")))
   }

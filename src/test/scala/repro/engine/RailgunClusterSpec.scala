@@ -2,10 +2,11 @@ package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
-import repro.core.engine.{RailgunCluster, StreamMeta}
+import repro.core.engine.{Codecs, RailgunCluster, StreamMeta, TaskProcessor}
 import repro.core.model.Event
 import repro.core.reservoir.ReservoirConfig
-import repro.messaging.{MiniKafka, TopicPartition}
+import repro.core.query.RailgunParser
+import repro.messaging.{MiniKafka, Record, TopicPartition}
 import repro.spark.Payments
 
 import scala.util.Random
@@ -264,6 +265,33 @@ class RailgunClusterSpec extends AnyFunSuite {
       assert(u.eventsSkipped == (if (pollers.contains(u)) 1 else 0), s"${u.unitId} skipped ${u.eventsSkipped}")
     }
     cluster.close()
+  }
+
+  test("an event lacking a field the plan reads is skipped and counted; the unit keeps running") {
+    val cluster = mkCluster(nodes = 1, unitsPerNode = 1, rf = 1)
+    cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    val noCard = Event(1, 1000, Map("merchantId" -> "m1", "amount" -> 10.0))
+    cluster.kafka.producer().send("payments.cardId", "c1", Codecs.eventToBytes(noCard))
+    val r = cluster.process("payments", Event(2, 1001, Map("cardId" -> "c1", "merchantId" -> "m1", "amount" -> 5.0)))
+    assert(r.find(_.agg == "count(*)").get.value.contains(1L), s"answer $r")
+    assert(cluster.allUnits.map(_.eventsSkipped).sum == 1)
+    cluster.close()
+  }
+
+  test("a restored task processor still drops a duplicate of an event before its checkpoint") {
+    val task = new TaskProcessor(TopicPartition("payments.cardId", 0), TestKit.tempDir("dedup-restore"),
+      ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8), Payments.schemaFields)
+    task.addQuery(RailgunParser.parse("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10000 ms", "q"))
+    val events = (1 to 5).map(i => Event(i.toLong, 1000L + i, Map("cardId" -> "c1", "amount" -> 1.0)))
+    def record(e: Event, offset: Long) =
+      Record("payments.cardId", 0, offset, "c1", Codecs.eventToBytes(e), e.ts)
+    events.zipWithIndex.foreach { case (e, i) => task.processRecord(record(e, i.toLong)) }
+    task.checkpoint()
+    task.restoreFromCheckpoint()
+    val reply = task.processRecord(record(events.last, 5L)).get
+    assert(reply.results.head.value.contains(5L), s"duplicate counted: $reply")
+    assert(task.duplicatesSeen == 1)
+    task.close()
   }
 
   test("a stale processor promoted again answers the queries added and removed while it was stale") {

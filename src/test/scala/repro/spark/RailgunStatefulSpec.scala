@@ -2,11 +2,16 @@ package repro.spark
 
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import repro.core.model.Event
+import repro.harness.Harness
+import repro.{Oracle, SparkSpec, TestKit}
 
 /** The custom stateful operator (flatMapGroupsWithState) maintaining
   * accurate sliding windows on Structured Streaming — checked against the
-  * Catalyst batch plan and the DuckDB oracle.
+  * Catalyst batch plan and the DuckDB oracle, and on out-of-order streams
+  * against the engine's task processor.
   */
 class RailgunStatefulSpec extends SparkSpec {
 
@@ -73,18 +78,66 @@ class RailgunStatefulSpec extends SparkSpec {
 
   test("a late event from a later micro-batch is evicted in timestamp order") {
     def pay(id: Long, ts: Long, amount: Double) = Payment(id, ts, "c", "m", amount)
-    // ts 2000 arrives after ts 3000; it expires before 3000 does, so the max
-    // of the last answer is 40 only if evictions follow ts, not arrival
+    // ts 2000 arrives after ts 3000, so it is stored at 3000, the newest
+    // timestamp, and evicted in that order: at 4600 it is still in the window
     val batches = Seq(Seq(pay(1, 1000, 10), pay(2, 3000, 30)), Seq(pay(3, 2000, 50)),
       Seq(pay(4, 3600, 20)), Seq(pay(5, 4600, 40)))
     val got = runStreaming(batches, windowMs = 2500L)
     assert(got.map(a => (a.cnt, a.sum, a.mx, a.mn)) == Seq(
       (1L, 10.0, 10.0, 10.0),  // {1000}
       (2L, 40.0, 30.0, 10.0),  // {1000, 3000}
-      (3L, 90.0, 50.0, 10.0),  // {1000, 2000, 3000}, answered as of arrival
-      (3L, 100.0, 50.0, 20.0), // 1000 expired: {2000, 3000, 3600}
-      (3L, 90.0, 40.0, 20.0))) // 2000 expired: {3000, 3600, 4600}
-    assert(got.map(_.avg) == Seq(10.0, 20.0, 30.0, 100.0 / 3, 30.0))
+      (3L, 90.0, 50.0, 10.0),  // {1000, 3000, 2000 stored at 3000}
+      (3L, 100.0, 50.0, 20.0), // 1000 expired: {3000, 3000, 3600}
+      (4L, 140.0, 50.0, 20.0))) // nothing expired: {3000, 3000, 3600, 4600}
+    assert(got.map(_.avg) == Seq(10.0, 20.0, 30.0, 100.0 / 3, 35.0))
+  }
+
+  /** The per-event (count, sum, avg, max, min) of `amount` over a sliding
+    * `windowMs` of single-card `(ts, amount)` events, in arrival order: from
+    * the engine's task processor, and from the operator fed one event per
+    * micro-batch.
+    */
+  private def engineAndOperator(stream: Seq[(Long, Double)], windowMs: Long): (Seq[Seq[Any]], Seq[Seq[Any]]) = {
+    val payments = stream.zipWithIndex.map { case ((ts, amount), i) => Payment(i + 1L, ts, "c", "m", amount) }
+    val sql = "SELECT count(*), sum(amount), avg(amount), max(amount), min(amount) " +
+      s"FROM payments GROUP BY cardId OVER sliding $windowMs ms"
+    val engine = Harness.withTask(Seq("q" -> sql)) { task =>
+      val events = payments.iterator.map(p =>
+        Event(p.eventId, p.ts, Map("cardId" -> p.cardId, "merchantId" -> p.merchantId, "amount" -> p.amount)))
+      Harness.records(task, events).toSeq.map(r => task.processRecord(r).get.results.flatMap(_.value))
+    }
+    val operator = runStreaming(payments.map(Seq(_)), windowMs).map(a => Seq(a.cnt, a.sum, a.avg, a.mx, a.mn))
+    (engine, operator)
+  }
+
+  test("the operator and the engine apply one late rule: the fixed out-of-order stream") {
+    val (engine, operator) = engineAndOperator(
+      Seq(1000L -> 10.0, 3000L -> 30.0, 2000L -> 50.0, 3600L -> 20.0, 4600L -> 40.0), windowMs = 2500L)
+    assert(operator.last == Seq(4L, 140.0, 35.0, 50.0, 20.0))
+    assert(engine == operator)
+  }
+
+  test("the operator and the engine apply one late rule: random late and tied streams (property)") {
+    // an op moves from the newest timestamp sent so far: 0 ahead, 1 back (late), 2 a tie
+    val genOp = Gen.frequency(
+      4 -> Gen.choose(1L, 30L).map(d => (0, d)),
+      2 -> Gen.choose(1L, 60L).map(d => (1, d)),
+      1 -> Gen.const((2, 0L)))
+    val gen = for {
+      windowMs <- Gen.choose(5L, 60L)
+      ops <- Gen.listOfN(12, genOp)
+      amounts <- Gen.listOfN(12, Gen.choose(1, 100))
+    } yield (windowMs, ops, amounts)
+    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (windowMs, ops, amounts) =>
+      var newest = 1000L
+      val stream = ops.zip(amounts).map { case ((op, d), amount) =>
+        val ts = if (op == 1) newest - d else newest + d
+        newest = math.max(newest, ts)
+        (ts, amount.toDouble)
+      }
+      val (engine, operator) = engineAndOperator(stream, windowMs)
+      (engine == operator) :| s"stream $stream, W $windowMs: engine $engine, operator $operator"
+    }, minSuccessful = 3)
   }
 
   test("max/min over the streaming window match the batch plan") {

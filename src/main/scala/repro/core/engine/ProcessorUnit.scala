@@ -182,7 +182,10 @@ final class ProcessorUnit(val unitId: String,
       case _ => opsSkipped += 1
     }
 
-  /** Checkpoints every live task processor (offsets recorded inside). */
+  /** Checkpoints every live task processor (offsets recorded inside). Only
+    * each checkpoint's cut runs on this thread; the rest runs on the task's
+    * I/O thread.
+    */
   def checkpointAll(): Unit = live.values.foreach(_.checkpoint())
 
   /** Applies this unit's replica-task plan and resumes each replica task. */

@@ -33,6 +33,17 @@ object FieldType {
     case StringT => out.writeUTF(String.valueOf(v))
   }
 
+  /** Whether [[write]] can write `v` as a `t` value. */
+  def canWrite(t: FieldType, v: Any): Boolean = v match {
+    case _: Long | _: Int | _: Double => true
+    case s: String => t match {
+      case LongT   => scala.util.Try(s.toLong).isSuccess
+      case DoubleT => scala.util.Try(s.toDouble).isSuccess
+      case StringT => true
+    }
+    case _ => t == StringT
+  }
+
   /** Reads a `t` value that [[write]] wrote. */
   def read(in: DataInput, t: FieldType): Any = t match {
     case LongT   => in.readLong()
@@ -48,7 +59,16 @@ final case class FieldDef(name: String, ftype: FieldType)
   * schema id they were serialized under, so old chunks stay readable after
   * the schema evolves (§4.1.1).
   */
-final case class EventSchema(id: Int, fields: Vector[FieldDef])
+final case class EventSchema(id: Int, fields: Vector[FieldDef]) {
+
+  /** Whether every value of `e` in a field of this schema can be written as
+    * the field's type; a chunk holding an event that cannot is unwritable.
+    */
+  def encodes(e: Event): Boolean = fields.forall { f =>
+    val v = e.values.getOrElse(f.name, null)
+    v == null || FieldType.canWrite(f.ftype, v)
+  }
+}
 
 /** A stream event: a unique id (used for deduplication), an event-time
   * timestamp in milliseconds, and named field values (Long | Double | String).

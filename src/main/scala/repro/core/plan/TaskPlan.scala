@@ -99,12 +99,18 @@ private final class AggLeaf(val metricId: String, val spec: AggSpec, cache: AggS
       case None    => keyPrefix + entity
     }
 
-  /** Applies an entering (`isInsert`) or expiring event to the entity's state. */
+  /** Applies an entering (`isInsert`) or expiring event to the entity's
+    * state. An event that lacks the aggregated field is skipped, entering and
+    * expiring alike: one stored before this aggregation was added may.
+    */
   def update(entity: String, e: Event, bucket: Option[Long], isInsert: Boolean): Unit = {
-    val k = stateKey(entity, bucket)
-    val st = cache.get(k, spec.kind)
-    if (isInsert) st.insert(spec.valueOf(e)) else st.evict(spec.valueOf(e))
-    cache.markDirty(k, st)
+    val v = spec.valueOf(e)
+    if (v.asInstanceOf[AnyRef] ne null) {
+      val k = stateKey(entity, bucket)
+      val st = cache.get(k, spec.kind)
+      if (isInsert) st.insert(v) else st.evict(v)
+      cache.markDirty(k, st)
+    }
   }
 
   /** The aggregate; an entity without state answers the empty window's value. */
@@ -131,8 +137,13 @@ private final class PrefixNode(val window: WindowSpec,
     case _                          => None
   }
 
+  /** The entity of `e`, or null if `e` lacks a group-by field. */
   def entity(e: Event): String =
-    if (groupBy.sizeIs == 1) e.str(groupBy.head) else groupBy.map(e.str).mkString("")
+    if (groupBy.sizeIs == 1) {
+      val v = e.values.getOrElse(groupBy.head, null)
+      if (v == null) null else v.toString
+    } else if (groupBy.forall(e.values.contains)) groupBy.map(e.str).mkString("")
+    else null
 
   def passes(e: Event): Boolean = filter.isEmpty || JexlLite.matches(filter.get, e)
 
@@ -145,14 +156,17 @@ private final class PrefixNode(val window: WindowSpec,
   }
 
   /** Applies an entering (`isInsert`) or expiring event to every leaf if it
-    * passes the filter; returns whether it did. The entity is built once.
+    * passes the filter and has the group-by fields; returns whether it did.
+    * The entity is built once.
     */
   def update(e: Event, isInsert: Boolean): Boolean = passes(e) && {
     val entity = this.entity(e)
-    val bucket = bucketOf(e.ts)
-    var i = 0
-    while (i < leaves.size) { leaves(i)._2.update(entity, e, bucket, isInsert); i += 1 }
-    true
+    (entity ne null) && {
+      val bucket = bucketOf(e.ts)
+      var i = 0
+      while (i < leaves.size) { leaves(i)._2.update(entity, e, bucket, isInsert); i += 1 }
+      true
+    }
   }
 }
 
@@ -258,7 +272,7 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
         reservoir.iteratorFrom(from).foreachBelow(t0 + 1 - node.headOffset) { e =>
           if (node.passes(e)) {
             val entity = node.entity(e)
-            newLeaves.foreach(_.update(entity, e, node.bucketOf(e.ts), isInsert = true))
+            if (entity ne null) newLeaves.foreach(_.update(entity, e, node.bucketOf(e.ts), isInsert = true))
           }
         }
       }

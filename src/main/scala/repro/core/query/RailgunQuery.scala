@@ -8,12 +8,14 @@ final case class AggSpec(kind: AggKind, field: Option[String]) {
   def label: String = s"${kind.name}(${field.getOrElse("*")})"
 
   /** What an event feeds into this aggregation's state: a unit for count,
-    * the field's string form for countDistinct, else the numeric field.
+    * the field's string form for countDistinct, else the numeric field; null
+    * for an event that lacks the field.
     */
   def valueOf(e: Event): Any = kind match {
-    case AggKind.Count         => 1.0
-    case AggKind.CountDistinct => e.str(field.get)
-    case _                     => e.num(field.get)
+    case AggKind.Count                        => 1.0
+    case _ if !e.values.contains(field.get) => null
+    case AggKind.CountDistinct                => e.str(field.get)
+    case _                                    => e.num(field.get)
   }
 }
 

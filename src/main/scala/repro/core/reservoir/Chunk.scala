@@ -2,7 +2,7 @@ package repro.core.reservoir
 
 import repro.core.model.{Event, EventSchema, FieldType}
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import java.io.{BufferedInputStream, BufferedOutputStream, ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 import java.util.zip.{Deflater, DeflaterOutputStream, InflaterInputStream}
 import scala.collection.immutable.ArraySeq
 
@@ -26,43 +26,50 @@ final case class Chunk(chunkId: Long, schemaId: Int, events: IndexedSeq[Event]) 
   */
 object ChunkCodec {
 
+  /** Fields are written through a buffer, so the deflater sees a few large
+    * inputs rather than one per field; its native memory is freed at once.
+    */
   def serialize(chunk: Chunk, schema: EventSchema): Array[Byte] = {
     val bos = new ByteArrayOutputStream(chunk.events.size * 32)
-    val out = new DataOutputStream(
-      new DeflaterOutputStream(bos, new Deflater(Deflater.BEST_SPEED)))
-    out.writeLong(chunk.chunkId)
-    out.writeInt(chunk.schemaId)
-    out.writeInt(chunk.events.size)
-    chunk.events.foreach { e =>
-      out.writeLong(e.id)
-      out.writeLong(e.ts)
-      schema.fields.foreach { f =>
-        e.values.get(f.name) match {
-          case None => out.writeBoolean(false)
-          case Some(v) => out.writeBoolean(true); FieldType.write(out, f.ftype, v)
+    val deflater = new Deflater(Deflater.BEST_SPEED)
+    try {
+      val out = new DataOutputStream(new BufferedOutputStream(new DeflaterOutputStream(bos, deflater)))
+      out.writeLong(chunk.chunkId)
+      out.writeInt(chunk.schemaId)
+      out.writeInt(chunk.events.size)
+      chunk.events.foreach { e =>
+        out.writeLong(e.id)
+        out.writeLong(e.ts)
+        schema.fields.foreach { f =>
+          e.values.get(f.name) match {
+            case None => out.writeBoolean(false)
+            case Some(v) => out.writeBoolean(true); FieldType.write(out, f.ftype, v)
+          }
         }
       }
-    }
-    out.close()
+      out.close()
+    } finally deflater.end()
     bos.toByteArray
   }
 
   def deserialize(bytes: Array[Byte], registry: SchemaRegistry): Chunk = {
-    val in = new DataInputStream(new InflaterInputStream(new ByteArrayInputStream(bytes)))
-    val chunkId = in.readLong()
-    val schemaId = in.readInt()
-    val schema = registry.get(schemaId)
-    val n = in.readInt()
-    val events = ArraySeq.fill(n) {
-      val id = in.readLong()
-      val ts = in.readLong()
-      val b = Map.newBuilder[String, Any]
-      schema.fields.foreach { f =>
-        if (in.readBoolean()) b += f.name -> FieldType.read(in, f.ftype)
+    // the stream's own inflater is ended when the stream is closed
+    val in = new DataInputStream(new BufferedInputStream(new InflaterInputStream(new ByteArrayInputStream(bytes))))
+    try {
+      val chunkId = in.readLong()
+      val schemaId = in.readInt()
+      val schema = registry.get(schemaId)
+      val n = in.readInt()
+      val events = ArraySeq.fill(n) {
+        val id = in.readLong()
+        val ts = in.readLong()
+        val b = Map.newBuilder[String, Any]
+        schema.fields.foreach { f =>
+          if (in.readBoolean()) b += f.name -> FieldType.read(in, f.ftype)
+        }
+        Event(id, ts, b.result())
       }
-      Event(id, ts, b.result())
-    }
-    in.close()
-    Chunk(chunkId, schemaId, events)
+      Chunk(chunkId, schemaId, events)
+    } finally in.close()
   }
 }

@@ -22,8 +22,9 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
   private val locations = mutable.ArrayBuffer.empty[ChunkLocation]
   private var currentFileId: Long = 0L
   private var currentFileChunks: Int = 0
-  private var currentOffset: Long = 0L
   private var writer: FileChannel = openFile(currentFileId)
+  /** A new store writes after whatever an earlier run left in the first file. */
+  private var currentOffset: Long = writer.size()
   private val readers = mutable.HashMap.empty[Long, FileChannel]
 
   /** Bytes written to disk, post-compression (storage accounting). */
@@ -31,9 +32,11 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
 
   private def filePath(fileId: Long): Path = dir.resolve(f"f-$fileId%06d.dat")
 
-  private def openFile(fileId: Long): FileChannel =
-    FileChannel.open(filePath(fileId),
-      StandardOpenOption.CREATE, StandardOpenOption.WRITE, StandardOpenOption.APPEND)
+  /** Opens a file for writing at its end (`APPEND`) or from empty
+    * (`TRUNCATE_EXISTING`).
+    */
+  private def openFile(fileId: Long, mode: StandardOpenOption = StandardOpenOption.APPEND): FileChannel =
+    FileChannel.open(filePath(fileId), StandardOpenOption.CREATE, StandardOpenOption.WRITE, mode)
 
   /** Appends the next finalized chunk. Single-writer (task processors are
     * single-threaded; the async persister serializes writes).
@@ -43,11 +46,13 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
       s"chunks must be persisted in order: got ${chunk.chunkId}, expected ${locations.size}")
     val bytes = ChunkCodec.serialize(chunk, registry.get(chunk.schemaId))
     if (currentFileChunks >= chunksPerFile) {
+      writer.force(true)
       writer.close()
       currentFileId += 1
       currentFileChunks = 0
       currentOffset = 0L
-      writer = openFile(currentFileId)
+      // a file past a restored manifest's end may hold chunks written after it
+      writer = openFile(currentFileId, StandardOpenOption.TRUNCATE_EXISTING)
     }
     writer.write(ByteBuffer.wrap(bytes))
     locations += ChunkLocation(currentFileId, currentOffset, bytes.length)
@@ -78,13 +83,17 @@ final class ChunkStore(dir: Path, chunksPerFile: Int, registry: SchemaRegistry) 
   def persistedChunks: Int = synchronized(locations.size)
   def fileCount: Long = synchronized(currentFileId + 1)
 
-  def writeManifest(out: DataOutputStream): Unit = synchronized {
+  /** Forces the current file to disk and writes the chunk locations; returns
+    * the files they lie in (every file up to the current one).
+    */
+  def writeManifest(out: DataOutputStream): Seq[Path] = synchronized {
     writer.force(true)
     out.writeInt(locations.size)
     locations.foreach { l =>
       out.writeLong(l.fileId); out.writeLong(l.offset); out.writeInt(l.length)
     }
     out.writeLong(currentFileId); out.writeInt(currentFileChunks); out.writeLong(currentOffset)
+    (0L to currentFileId).map(filePath)
   }
 
   /** Reads what [[writeManifest]] wrote, truncates any partial write past

@@ -88,9 +88,12 @@ final class EventReservoir(val dir: java.nio.file.Path,
   private var maxSeenTs: Long = Long.MinValue
   private var total: Long = 0L
 
-  /** The one persist thread; writes run in chunk-id order. */
-  private val persistPool: ExecutorService = Executors.newSingleThreadExecutor { r =>
-    val t = new Thread(r, s"reservoir-persist"); t.setDaemon(true); t
+  /** The task's one I/O thread: chunk writes run on it in chunk-id order,
+    * and a task processor runs the asynchronous half of its checkpoints on
+    * it, after the writes of the chunks the checkpoint's cut finalized.
+    */
+  private[core] val io: ExecutorService = Executors.newSingleThreadExecutor { r =>
+    val t = new Thread(r, s"task-io"); t.setDaemon(true); t
   }
   /** First write that failed. */
   @volatile private var persistFailure: Option[Throwable] = None
@@ -129,7 +132,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
     if (recentIds.size > EventReservoir.DedupChunks) recentIds.removeHead()
     open = mutable.ArrayBuffer.empty[Event]
     openIds = mutable.HashSet.empty[Long]
-    persistPool.execute { () =>
+    io.execute { () =>
       try { store.persist(chunk); EventReservoir.this.synchronized { pending.removeHead() } }
       catch { case t: Throwable => if (persistFailure.isEmpty) persistFailure = Some(t) }
     }
@@ -145,7 +148,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
 
   /** Waits for every submitted write, then rethrows the first that failed. */
   def drainIo(): Unit = {
-    persistPool.submit(new Runnable { def run(): Unit = () }).get()
+    io.submit(new Runnable { def run(): Unit = () }).get()
     persistFailure.foreach(t => throw t)
   }
 
@@ -207,13 +210,33 @@ final class EventReservoir(val dir: java.nio.file.Path,
     * from the messaging layer.
     */
   def checkpoint(out: DataOutputStream): Unit = {
-    flush()
-    synchronized {
+    val writeManifest = cut()
+    drainIo()
+    writeManifest(out)
+  }
+
+  /** The synchronous half of a checkpoint: finalizes the open chunk, whose
+    * write joins the queue on [[io]]. Returns the asynchronous half, which
+    * writes the manifest of this cut and returns the chunk files it names;
+    * it must run on [[io]] (or once [[io]] is drained), after the cut's chunk
+    * writes and before any later one, and it rethrows a failed write.
+    */
+  private[core] def cut(): DataOutputStream => Seq[java.nio.file.Path] = synchronized {
+    if (open.nonEmpty) finalizeOpen()
+    val chunks = lastTs.size
+    val newest = maxSeenTs
+    val events = total
+    out => {
+      persistFailure.foreach(t => throw t)
+      require(store.persistedChunks == chunks,
+        s"the cut has $chunks chunks, the store holds ${store.persistedChunks}")
+      val chunkLastTs = synchronized(lastTs.take(chunks).toArray)
       registry.write(out)
-      store.writeManifest(out)
-      out.writeInt(lastTs.size)
-      lastTs.foreach(out.writeLong(_))
-      out.writeLong(maxSeenTs); out.writeLong(total)
+      val files = store.writeManifest(out)
+      out.writeInt(chunks)
+      chunkLastTs.foreach(out.writeLong(_))
+      out.writeLong(newest); out.writeLong(events)
+      files
     }
   }
 
@@ -232,7 +255,7 @@ final class EventReservoir(val dir: java.nio.file.Path,
     }
   }
 
-  def close(): Unit = try flush() finally { persistPool.shutdown(); cache.close(); store.close() }
+  def close(): Unit = try flush() finally { io.shutdown(); cache.close(); store.close() }
 }
 
 object EventReservoir {

@@ -4,6 +4,7 @@ import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, Data
 import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardOpenOption}
+import java.util.concurrent.{ExecutionException, Executor, FutureTask}
 import scala.collection.mutable
 
 /** Embedded LSM-style key-value store — the reproduction's stand-in for
@@ -15,15 +16,24 @@ import scala.collection.mutable
   *
   * Every entry has one flat key, `cf + '\u0000' + key`, whose natural
   * `String` order is the (column family, key) order. Writes land in a hash
-  * memtable; when it reaches `memtableLimit` entries its keys are sorted
-  * once and flushed to an immutable segment file. For each segment the store
-  * keeps in memory the sorted key array, each entry's file offsets and value
-  * length, a Bloom filter, and one open read channel. A point read checks
-  * the memtable, then the segments newest-first: the filter and a binary
-  * search decide in memory whether a segment holds the key, and only a hit
-  * reads its value from the file. When more than `maxSegments` segments pile
-  * up, a k-way merge of their key arrays (newest wins, tombstones dropped)
-  * copies each live entry's bytes unchanged into one new segment.
+  * memtable. A flush freezes it as the immutable memtable, which gets still
+  * read, sorts its keys once and writes them to an immutable segment file.
+  * For each segment the store keeps in memory the sorted key array, each
+  * entry's file offsets and value length, a Bloom filter, and one open read
+  * channel. A point read checks the memtable, the frozen memtable, then the
+  * segments newest-first: the filter and a binary search decide in memory
+  * whether a segment holds the key, and only a hit reads its value from the
+  * file. When more than `maxSegments` segments pile up, a k-way merge of
+  * their key arrays (newest wins, tombstones dropped) copies each live
+  * entry's bytes unchanged into one new segment.
+  *
+  * Segment files are written only on `io`: in line by default, or on a task
+  * processor's I/O thread, where a checkpoint freezes the memtable on the
+  * caller's thread ([[freeze]]) and writes its segment, compacts and writes
+  * the manifest on `io` ([[writeCheckpoint]]). A flush, a compaction or a
+  * checkpoint called directly waits for `io` and rethrows its failure. The
+  * sort, the file writes and the merge run outside the store's lock; the
+  * segment list is replaced whole under it.
   *
   * A segment that the last checkpoint manifest lists stays on disk until the
   * next checkpoint supersedes that manifest, so a checkpoint stays
@@ -34,14 +44,18 @@ import scala.collection.mutable
   * hopping windows vs O(#leaf aggregators) for Railgun — and both engines
   * in this repo pay them through this same store.
   */
-final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int = 8) {
+final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int = 8,
+                     io: Executor = LsmStore.InLine) {
   import LsmStore.{Tombstone, flatKey}
 
   Files.createDirectories(dir)
 
   /** flat key -> value bytes, or `Tombstone` for a delete */
-  private val memtable = new java.util.HashMap[String, Array[Byte]]()
-  private val segments = mutable.ArrayBuffer.empty[Segment] // newest last
+  private var memtable = new java.util.HashMap[String, Array[Byte]]()
+  /** The memtable [[freeze]] set aside until its segment is written, or null. */
+  private var frozen: java.util.HashMap[String, Array[Byte]] = null
+  /** Newest last; replaced whole, under the lock. */
+  private var segments = Vector.empty[Segment]
   private var nextSegmentId: Long = 0L
   /** Segment ids the last checkpoint manifest lists. */
   private var checkpointed: Set[Long] = Set.empty
@@ -50,12 +64,13 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
 
   var gets: Long = 0L
   var puts: Long = 0L
-  var flushes: Long = 0L
-  var compactions: Long = 0L
+  @volatile var flushes: Long = 0L
+  @volatile var compactions: Long = 0L
   /** Value reads that touched a segment file. */
   var segmentReads: Long = 0L
 
-  private def segmentPath(id: Long): Path = dir.resolve(f"seg-$id%08d.sst")
+  /** The file of segment `id`. */
+  private[core] def segmentPath(id: Long): Path = dir.resolve(f"seg-$id%08d.sst")
 
   /** An immutable segment file and its in-memory index. Entry `i` (the
     * i-th smallest key) starts at byte `starts(i)`; its value is
@@ -67,6 +82,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     val path: Path = segmentPath(id)
     private val bloom = new BloomFilter(keys)
     private val channel = FileChannel.open(path, StandardOpenOption.READ)
+    private var forced = false
 
     /** Index of `key`, or -1; `hash` is `key.hashCode`. */
     def indexOf(key: String, hash: Int): Int =
@@ -90,13 +106,15 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
         Some(bytes)
       }
 
+    /** Forces the file to disk, once. */
+    def force(): Unit = if (!forced) { channel.force(true); forced = true }
+
     def close(): Unit = channel.close()
   }
 
   /** Writes a new segment file entry by entry while recording its index. */
   private final class SegmentWriter(capacity: Int) {
-    val id: Long = nextSegmentId
-    nextSegmentId += 1
+    val id: Long = LsmStore.this.synchronized { nextSegmentId += 1; nextSegmentId - 1 }
     private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(segmentPath(id).toFile)))
     private val keys = new Array[String](capacity)
     private val starts = new Array[Long](capacity)
@@ -139,22 +157,24 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     }
   }
 
-  def put(cf: String, key: String, value: Array[Byte]): Unit = synchronized {
-    puts += 1
-    memtable.put(flatKey(cf, key), value)
-    if (memtable.size >= memtableLimit) flush()
-  }
+  def put(cf: String, key: String, value: Array[Byte]): Unit = write(flatKey(cf, key), value)
 
-  def delete(cf: String, key: String): Unit = synchronized {
-    puts += 1
-    memtable.put(flatKey(cf, key), Tombstone)
-    if (memtable.size >= memtableLimit) flush()
+  def delete(cf: String, key: String): Unit = write(flatKey(cf, key), Tombstone)
+
+  private def write(k: String, value: Array[Byte]): Unit = {
+    val full = synchronized {
+      puts += 1
+      memtable.put(k, value)
+      memtable.size >= memtableLimit
+    }
+    if (full) flush()
   }
 
   def get(cf: String, key: String): Option[Array[Byte]] = synchronized {
     gets += 1
     val k = flatKey(cf, key)
-    val m = memtable.get(k)
+    var m = memtable.get(k)
+    if ((m eq null) && (frozen ne null)) m = frozen.get(k)
     if (m ne null) { if (m eq Tombstone) None else Some(m) }
     else {
       val hash = k.hashCode
@@ -168,12 +188,58 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     }
   }
 
-  /** Visits, in key order, the newest version (segment index, entry index)
-    * of every live segment entry. Tombstones hide older versions and are not
-    * visited.
+  /** Runs `task` on `io`, waits for it and rethrows its failure. */
+  private def runIo[A](task: => A): A = {
+    val job = new FutureTask[A](() => task)
+    io.execute(job)
+    try job.get() catch { case e: ExecutionException => throw e.getCause }
+  }
+
+  /** Flushes the memtable to a new sorted segment. */
+  def flush(): Unit = runIo { freeze(); writeFrozen() }
+
+  /** Merges all segments into one (newest value wins, tombstones dropped). */
+  def compact(): Unit = runIo(compactSegments())
+
+  /** Sets the memtable aside as the frozen memtable, which gets still read,
+    * until [[writeFrozen]] writes it as a segment. The synchronous half of a
+    * checkpoint; at most one memtable is frozen at a time.
     */
-  private def mergeSegments(visit: (Int, Int) => Unit): Unit = {
-    val n = segments.size
+  private[core] def freeze(): Unit = synchronized {
+    require(frozen eq null, "the frozen memtable is not written yet")
+    if (!memtable.isEmpty) {
+      frozen = memtable
+      memtable = new java.util.HashMap[String, Array[Byte]]()
+    }
+  }
+
+  /** Writes the frozen memtable, if any, as the newest segment, then
+    * compacts if more than `maxSegments` segments are live. Runs on `io`.
+    */
+  private[core] def writeFrozen(): Unit = {
+    val m = synchronized(frozen)
+    if (m ne null) {
+      val keys = m.keySet.toArray(new Array[String](0))
+      java.util.Arrays.sort(keys.asInstanceOf[Array[AnyRef]])
+      val w = new SegmentWriter(keys.length)
+      keys.foreach(k => w.write(k, m.get(k)))
+      val segment = w.finish()
+      val live = synchronized {
+        segments :+= segment
+        frozen = null
+        flushes += 1
+        segments.size
+      }
+      if (live > maxSegments) compactSegments()
+    }
+  }
+
+  /** Visits, in key order, the newest version (segment index, entry index)
+    * of every live entry of `segs`. Tombstones hide older versions and are
+    * not visited.
+    */
+  private def mergeSegments(segs: IndexedSeq[Segment])(visit: (Int, Int) => Unit): Unit = {
+    val n = segs.size
     val pos = new Array[Int](n)
     var done = false
     while (!done) {
@@ -181,7 +247,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       var win = -1
       var i = n - 1 // newest first: on equal keys the newest segment wins
       while (i >= 0) {
-        val s = segments(i)
+        val s = segs(i)
         if (pos(i) < s.keys.length) {
           val k = s.keys(pos(i))
           if ((min eq null) || k.compareTo(min) < 0) { min = k; win = i }
@@ -190,10 +256,10 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       }
       if (min eq null) done = true
       else {
-        if (segments(win).valueLens(pos(win)) >= 0) visit(win, pos(win))
+        if (segs(win).valueLens(pos(win)) >= 0) visit(win, pos(win))
         i = 0
         while (i < n) {
-          val ks = segments(i).keys
+          val ks = segs(i).keys
           if (pos(i) < ks.length && ks(pos(i)) == min) pos(i) += 1
           i += 1
         }
@@ -201,34 +267,21 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     }
   }
 
-  /** Flushes the memtable to a new sorted segment. */
-  def flush(): Unit = synchronized {
-    if (!memtable.isEmpty) {
-      val keys = memtable.keySet.toArray(new Array[String](0))
-      java.util.Arrays.sort(keys.asInstanceOf[Array[AnyRef]])
-      val w = new SegmentWriter(keys.length)
-      keys.foreach(k => w.write(k, memtable.get(k)))
-      segments += w.finish()
-      memtable.clear()
-      flushes += 1
-      if (segments.size > maxSegments) compact()
-    }
-  }
-
-  /** Merges all segments into one (newest value wins, tombstones dropped),
-    * copying each live entry's encoded bytes from its source file.
+  /** Merges the live segments into one, copying each live entry's encoded
+    * bytes from its source file, and swaps it in for them. Runs on `io`.
     */
-  def compact(): Unit = synchronized {
-    if (segments.size > 1) {
-      val w = new SegmentWriter(segments.iterator.map(_.keys.length).sum)
+  private def compactSegments(): Unit = {
+    val srcs = synchronized(segments)
+    if (srcs.size > 1) {
+      val w = new SegmentWriter(srcs.iterator.map(_.keys.length).sum)
       // each source is read sequentially: the merge visits its entries in file order
-      val readers = segments.map(s => new DataInputStream(
+      val readers = srcs.map(s => new DataInputStream(
         new BufferedInputStream(new FileInputStream(s.path.toFile), 1 << 16)))
-      val readPos = new Array[Long](segments.size)
+      val readPos = new Array[Long](srcs.size)
       var buf = new Array[Byte](256)
       try {
-        mergeSegments { (si, i) =>
-          val s = segments(si)
+        mergeSegments(srcs) { (si, i) =>
+          val s = srcs(si)
           readers(si).skipNBytes(s.starts(i) - readPos(si))
           val len = s.entryLength(i).toInt
           if (len > buf.length) buf = new Array[Byte](math.max(len, buf.length * 2))
@@ -238,13 +291,14 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
         }
       } finally readers.foreach(_.close())
       val merged = w.finish()
-      segments.foreach { s =>
-        s.close()
-        if (checkpointed(s.id)) superseded += s.path else Files.deleteIfExists(s.path)
+      synchronized {
+        segments = merged +: segments.drop(srcs.size)
+        compactions += 1
+        srcs.foreach { s =>
+          s.close()
+          if (checkpointed(s.id)) superseded += s.path else Files.deleteIfExists(s.path)
+        }
       }
-      segments.clear()
-      segments += merged
-      compactions += 1
     }
   }
 
@@ -253,15 +307,35 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     * observation that RocksDB checkpoints are efficient). Segments that only
     * the previous manifest listed are deleted once the new list is written.
     */
-  def checkpoint(out: DataOutputStream): Unit = synchronized {
-    flush()
-    out.writeLong(nextSegmentId)
-    out.writeInt(segments.size)
-    segments.foreach(s => out.writeLong(s.id))
+  def checkpoint(out: DataOutputStream): Unit = runIo {
+    freeze()
+    committed(writeCheckpoint(out, force = false))
+  }
+
+  /** The asynchronous half of a checkpoint, after [[freeze]]: writes the
+    * frozen memtable's segment (compacting past `maxSegments`), then the
+    * manifest — the next segment id and the live segment ids, which it
+    * returns. With `force` every listed segment file is forced to disk
+    * first. Runs on `io`.
+    */
+  private[core] def writeCheckpoint(out: DataOutputStream, force: Boolean): Seq[Long] = {
+    writeFrozen()
+    val (next, live) = synchronized((nextSegmentId, segments))
+    if (force) live.foreach(_.force())
+    out.writeLong(next)
+    out.writeInt(live.size)
+    live.foreach(s => out.writeLong(s.id))
     out.flush()
+    live.map(_.id)
+  }
+
+  /** Records that the manifest listing `ids` has replaced the last one:
+    * deletes the segments that only the last one listed.
+    */
+  private[core] def committed(ids: Seq[Long]): Unit = synchronized {
     superseded.foreach(Files.deleteIfExists)
     superseded.clear()
-    checkpointed = segments.iterator.map(_.id).toSet
+    checkpointed = ids.toSet
   }
 
   def segmentCount: Int = synchronized(segments.size)
@@ -270,10 +344,11 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   def close(): Unit = synchronized(segments.foreach(_.close()))
 
   private def restoreFrom(in: DataInputStream): Unit = synchronized {
-    memtable.clear(); segments.clear()
+    memtable.clear()
+    frozen = null
     nextSegmentId = in.readLong()
     val n = in.readInt()
-    (0 until n).foreach(_ => segments += indexSegment(in.readLong()))
+    segments = Vector.fill(n)(indexSegment(in.readLong()))
     checkpointed = segments.iterator.map(_.id).toSet
   }
 
@@ -363,6 +438,9 @@ private[core] object BloomFilter {
 }
 
 object LsmStore {
+  /** Runs each task on the calling thread: a store without an I/O thread. */
+  val InLine: Executor = (task: Runnable) => task.run()
+
   /** Memtable value marking a delete (compared by reference). */
   private val Tombstone = new Array[Byte](0)
 
@@ -373,8 +451,8 @@ object LsmStore {
     * data directory.
     */
   def restore(dir: Path, in: DataInputStream,
-              memtableLimit: Int = 8192, maxSegments: Int = 8): LsmStore = {
-    val s = new LsmStore(dir, memtableLimit, maxSegments)
+              memtableLimit: Int = 8192, maxSegments: Int = 8, io: Executor = InLine): LsmStore = {
+    val s = new LsmStore(dir, memtableLimit, maxSegments, io)
     s.restoreFrom(in)
     s
   }

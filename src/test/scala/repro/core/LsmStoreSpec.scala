@@ -3,11 +3,13 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
-import repro.core.engine.TaskProcessor
 import repro.core.statestore.{BloomFilter, LsmStore}
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.Files
+import java.util.concurrent.{Callable, Executors, Future}
+import scala.collection.mutable
 
 class LsmStoreSpec extends AnyFunSuite {
 
@@ -89,7 +91,8 @@ class LsmStoreSpec extends AnyFunSuite {
     (1 to 10).foreach(i => st.put("cf", s"k$i", b(s"v$i")))
     val bos = new ByteArrayOutputStream()
     st.checkpoint(new DataOutputStream(bos))
-    TaskProcessor.copyFiles(src, dst)
+    val files = Files.list(src)
+    try files.forEach(p => Files.copy(p, dst.resolve(p.getFileName))) finally files.close()
     val re = LsmStore.restore(dst, new DataInputStream(new ByteArrayInputStream(bos.toByteArray)))
     (1 to 10).foreach(i => assert(re.get("cf", s"k$i").map(s).contains(s"v$i")))
   }
@@ -121,6 +124,57 @@ class LsmStoreSpec extends AnyFunSuite {
         val k = s"k$i"
         st.get("cf", k).map(s) == model.get(k)
       }
+    }, minSuccessful = 25)
+  }
+
+  test("gets and puts interleaved with an in-flight background flush or compaction match an in-memory model (property)") {
+    val genOp: Gen[(Int, String, String)] = for {
+      // 0 put, 1 delete, 2 get, 3 checkpoint cut: its flush, compaction and
+      // manifest run on the I/O thread, 4 restore the last completed
+      // checkpoint into a fresh store, 5 synchronous flush
+      op <- Gen.frequency(6 -> 0, 2 -> 1, 5 -> 2, 2 -> 3, 1 -> 4, 1 -> 5)
+      k <- Gen.chooseNum(0, 30).map(i => s"k$i")
+      v <- Gen.alphaNumStr.map(_.take(8))
+    } yield (op, k, v)
+    TestKit.checkProp(Prop.forAll(Gen.listOfN(150, genOp)) { ops =>
+      val dir = TestKit.tempDir("lsm-async")
+      val io = Executors.newSingleThreadExecutor()
+      try {
+        var st = new LsmStore(dir, memtableLimit = 7, maxSegments = 2, io = io)
+        val model = mutable.Map.empty[String, String]
+        // a checkpoint in flight yields its manifest and the model at its cut
+        var inFlight: Option[Future[(Array[Byte], Map[String, String])]] = None
+        var durable: Option[(Array[Byte], Map[String, String])] = None
+        def await(): Unit = { inFlight.foreach(j => durable = Some(j.get())); inFlight = None }
+        var mismatches = 0
+        ops.foreach {
+          case (0, k, v) => st.put("cf", k, b(v)); model(k) = v
+          case (1, k, _) => st.delete("cf", k); model.remove(k)
+          case (2, k, _) => if (st.get("cf", k).map(s) != model.get(k)) mismatches += 1
+          case (3, _, _) =>
+            await()
+            st.freeze()
+            val (store, atCut) = (st, model.toMap)
+            inFlight = Some(io.submit(new Callable[(Array[Byte], Map[String, String])] {
+              def call(): (Array[Byte], Map[String, String]) = {
+                val bos = new ByteArrayOutputStream()
+                store.committed(store.writeCheckpoint(new DataOutputStream(bos), force = false))
+                (bos.toByteArray, atCut)
+              }
+            }))
+          case (4, _, _) =>
+            await()
+            durable.foreach { case (manifest, atCut) =>
+              st.close()
+              st = LsmStore.restore(dir, new DataInputStream(new ByteArrayInputStream(manifest)),
+                memtableLimit = 7, maxSegments = 2, io = io)
+              model.clear(); model ++= atCut
+            }
+          case _ => st.flush()
+        }
+        await()
+        mismatches == 0 && (0 to 30).forall(i => st.get("cf", s"k$i").map(s) == model.get(s"k$i"))
+      } finally io.shutdown()
     }, minSuccessful = 25)
   }
 

@@ -1,0 +1,156 @@
+package repro.engine
+
+import org.scalacheck.{Gen, Prop}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestKit
+import repro.core.engine.{Codecs, TaskProcessor}
+import repro.core.model.Event
+import repro.core.plan.MetricResult
+import repro.core.query.RailgunParser
+import repro.core.reservoir.ReservoirConfig
+import repro.messaging.{Record, TopicPartition}
+import repro.spark.Payments
+
+import java.io.{FileOutputStream, FilterOutputStream, IOException}
+import java.nio.file.{Files, Path}
+
+/** A task processor's checkpoints — a synchronous cut, then the manifest
+  * written on the task's I/O thread — and the events it refuses to store.
+  */
+class TaskProcessorSpec extends AnyFunSuite {
+
+  private val tp = TopicPartition("payments.cardId", 0)
+  private val windowMs = 20L
+  private val query = RailgunParser.parse(
+    s"SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding $windowMs ms", "q")
+
+  private def open(dir: Path, chunkSize: Int): TaskProcessor = {
+    val task = new TaskProcessor(tp, dir,
+      ReservoirConfig(chunkSizeEvents = chunkSize, chunksPerFile = 2, cacheChunks = 4), Payments.schemaFields)
+    task.addQuery(query)
+    task
+  }
+
+  private def record(e: Event, offset: Long): Record =
+    Record(tp.topic, tp.partition, offset, e.str("cardId"), Codecs.eventToBytes(e), e.ts)
+
+  /** Events with timestamps `gaps` apart (ties included) on `cards(i)`. */
+  private def events(gaps: Seq[Int], cards: Seq[Int]): IndexedSeq[Event] = {
+    var ts = 1000L
+    gaps.indices.map { i =>
+      ts += gaps(i)
+      Event(i + 1L, ts, Map("cardId" -> s"c${cards(i)}", "amount" -> (i % 7 + 1).toDouble))
+    }
+  }
+
+  /** Indices whose count(*) or sum(amount) differs from the brute-force window. */
+  private def mismatches(evs: Seq[Event], answers: Seq[Seq[MetricResult]]): Seq[Int] = {
+    val windows = TestKit.bruteSliding(evs, windowMs, _.str("cardId"))
+    evs.indices.filterNot { i =>
+      answers(i).find(_.agg == "count(*)").get.value.contains(TestKit.count(windows(i))) &&
+        TestKit.approxEq(answers(i).find(_.agg == "sum(amount)").get.value, TestKit.sum(windows(i), "amount"))
+    }
+  }
+
+  test("async checkpoints interleaved with processRecord restore the last completed one and replay to brute force (property)") {
+    val gen = for {
+      n <- Gen.chooseNum(20, 70)
+      gaps <- Gen.listOfN(n, Gen.chooseNum(0, 6))
+      cards <- Gen.listOfN(n, Gen.chooseNum(0, 3))
+      cuts <- Gen.listOfN(n, Gen.frequency(1 -> true, 3 -> false))
+      crashAt <- Gen.chooseNum(1, n)
+      chunkSize <- Gen.chooseNum(1, 6)
+      viaCopy <- Gen.oneOf(false, true)
+    } yield (gaps, cards, cuts, crashAt, chunkSize, viaCopy)
+    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (gaps, cards, cuts, crashAt, chunkSize, viaCopy) =>
+      val evs = events(gaps, cards)
+      val answers = Array.fill(evs.size)(Seq.empty[MetricResult])
+      val dir = TestKit.tempDir("task-async")
+      val first = open(dir, chunkSize)
+      (0 until crashAt).foreach { i =>
+        answers(i) = first.processRecord(record(evs(i), i)).get.results
+        if (cuts(i)) first.checkpoint()
+      }
+      // a recovery transfer checkpoints now and copies what its manifest
+      // names; a restart restores whichever checkpoint completed last
+      val restoreDir = if (viaCopy) TestKit.tempDir("task-async-copy") else dir
+      if (viaCopy) first.copyCheckpointTo(restoreDir)
+      first.close()
+      val second = open(restoreDir, chunkSize)
+      val from =
+        if (Files.exists(TaskProcessor.checkpointFile(restoreDir))) second.restoreFromCheckpoint() + 1 else 0L
+      (from.toInt until evs.size).foreach(i => answers(i) = second.processRecord(record(evs(i), i)).get.results)
+      second.close()
+      val bad = mismatches(evs, answers.toSeq)
+      Prop(bad.isEmpty && (!viaCopy || from == crashAt)) :| s"mismatches at $bad, replayed from $from"
+    }, minSuccessful = 40)
+  }
+
+  test("a manifest write that fails midway leaves the previous checkpoint restorable") {
+    val rnd = new scala.util.Random(5)
+    val evs = events(Seq.fill(60)(rnd.nextInt(5)), Seq.fill(60)(rnd.nextInt(3)))
+    val answers = Array.fill(evs.size)(Seq.empty[MetricResult])
+    val dir = TestKit.tempDir("task-torn")
+    val first = open(dir, chunkSize = 4)
+    (0 until 25).foreach(i => answers(i) = first.processRecord(record(evs(i), i)).get.results)
+    assert(first.checkpoint() == 24)
+    first.awaitCheckpoint()
+    (25 until 45).foreach(i => answers(i) = first.processRecord(record(evs(i), i)).get.results)
+    first.openManifest = p => new FilterOutputStream(new FileOutputStream(p.toFile)) {
+      private var written = 0
+      override def write(b: Int): Unit = {
+        if (written == 40) throw new IOException("injected: device full")
+        written += 1
+        super.write(b)
+      }
+    }
+    first.checkpoint()
+    val failure = intercept[IOException](first.awaitCheckpoint())
+    assert(failure.getMessage.contains("injected"))
+    first.close()
+
+    val second = open(dir, chunkSize = 4)
+    assert(second.restoreFromCheckpoint() == 24)
+    (25 until evs.size).foreach(i => answers(i) = second.processRecord(record(evs(i), i)).get.results)
+    second.close()
+    assert(mismatches(evs, answers.toSeq).isEmpty)
+  }
+
+  test("an event holding a value its schema type cannot store is skipped; checkpoints keep working") {
+    // no query reads `amount`, so only the chunk codec would meet the value
+    val task = new TaskProcessor(tp, TestKit.tempDir("task-badvalue"),
+      ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 2, cacheChunks = 4), Payments.schemaFields)
+    task.addQuery(RailgunParser.parse("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10000 ms", "q"))
+    val bad = Event(1, 1001, Map("cardId" -> "c1", "amount" -> "abc"))
+    assert(task.processRecord(record(bad, 0)).isEmpty)
+    val good = (2 to 6).map(i => Event(i.toLong, 1000L + i, Map("cardId" -> "c1", "amount" -> 1.0)))
+    good.zipWithIndex.foreach { case (e, i) => task.processRecord(record(e, i + 1L)) }
+    task.checkpoint()
+    assert(task.restoreFromCheckpoint() == 5)
+    val reply = task.processRecord(record(Event(7, 1007, Map("cardId" -> "c1", "amount" -> 1.0)), 6)).get
+    assert(reply.results.find(_.agg == "count(*)").get.value.contains(6L), s"answer $reply")
+    task.close()
+  }
+
+  test("a query added over stored events that lack its field skips them on backfill, insert and evict") {
+    val task = open(TestKit.tempDir("task-addq"), chunkSize = 4)
+    val rnd = new scala.util.Random(9)
+    val evs = (1 to 40).map { i =>
+      val fields = Map[String, Any]("cardId" -> s"c${rnd.nextInt(2)}", "amount" -> 1.0)
+      // the first 8 events predate the query and lack its field
+      Event(i.toLong, 1000L + 4 * i, if (i <= 8) fields else fields + ("country" -> s"k${rnd.nextInt(3)}"))
+    }
+    evs.take(8).zipWithIndex.foreach { case (e, i) => task.processRecord(record(e, i)) }
+    task.addQuery(RailgunParser.parse(
+      s"SELECT countDistinct(country), count(*) FROM payments GROUP BY cardId OVER sliding $windowMs ms", "qc"))
+    val windows = TestKit.bruteSliding(evs, windowMs, _.str("cardId"))
+    evs.zipWithIndex.drop(8).foreach { case (e, i) =>
+      val r = task.processRecord(record(e, i)).get.results
+      def value(agg: String) = r.find(x => x.query == "qc" && x.agg == agg).get.value
+      val withCountry = windows(i).filter(_.values.contains("country"))
+      assert(value("countDistinct(country)").contains(TestKit.countDistinct(withCountry, "country")), s"@ $i")
+      assert(value("count(*)").contains(TestKit.count(windows(i))), s"@ $i")
+    }
+    task.close()
+  }
+}

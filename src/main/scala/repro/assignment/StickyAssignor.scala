@@ -21,19 +21,14 @@ final case class PriorState(active: Map[String, Set[TopicPartition]] = Map.empty
     replica.collect { case (p, ts) if ts.contains(t) => p }.toSeq.sorted
   def staleOwners(t: TopicPartition): Seq[String] =
     stale.collect { case (p, ts) if ts.contains(t) => p }.toSeq.sorted
-  def hadData(p: String, t: TopicPartition): Boolean =
-    active.getOrElse(p, Set.empty).contains(t) ||
-      replica.getOrElse(p, Set.empty).contains(t) ||
-      stale.getOrElse(p, Set.empty).contains(t)
 }
 
-/** Result of one rebalance iteration. `needsRecovery` lists (processor,
-  * task) pairs where the processor had no previous data for the task and
-  * must copy reservoir + state store from another holder before serving.
+/** Result of one rebalance iteration: each processor's active and replica
+  * tasks. Whether a processor must first copy a task's data from another
+  * holder is the processor's own fact, read by the cluster (§4.2).
   */
 final case class AssignmentResult(active: Map[String, Set[TopicPartition]],
-                                  replica: Map[String, Set[TopicPartition]],
-                                  needsRecovery: Set[(String, TopicPartition)]) {
+                                  replica: Map[String, Set[TopicPartition]]) {
   def activeOwner(t: TopicPartition): Option[String] =
     active.collectFirst { case (p, ts) if ts.contains(t) => p }
   def allOf(p: String): Set[TopicPartition] =
@@ -70,7 +65,6 @@ final class StickyAssignor(replicationFactor: Int) {
     processors.foreach(p => nodeHolds.getOrElseUpdate(p.nodeId, mutable.Set.empty))
     val active = mutable.Map.empty[String, mutable.Set[TopicPartition]]
     val replica = mutable.Map.empty[String, mutable.Set[TopicPartition]]
-    val recovery = mutable.Set.empty[(String, TopicPartition)]
     val live = processors.map(_.processorId).toSet
 
     def eligible(p: String, t: TopicPartition): Boolean =
@@ -80,7 +74,6 @@ final class StickyAssignor(replicationFactor: Int) {
       (if (asActive) active else replica).getOrElseUpdate(p, mutable.Set.empty) += t
       load(p) += 1
       nodeHolds(nodesOf(p)) += t
-      if (!prior.hadData(p, t)) recovery += ((p, t))
     }
 
     def leastLoaded(cands: Seq[String], t: TopicPartition): Option[String] =
@@ -116,7 +109,7 @@ final class StickyAssignor(replicationFactor: Int) {
     }
 
     AssignmentResult(active.view.mapValues(_.toSet).toMap,
-      replica.view.mapValues(_.toSet).toMap, recovery.toSet)
+      replica.view.mapValues(_.toSet).toMap)
   }
 }
 

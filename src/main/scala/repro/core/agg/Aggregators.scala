@@ -18,7 +18,8 @@ object AggKind {
   case object Prev          extends AggKind { val name = "prev" }
   case object CountDistinct extends AggKind { val name = "countDistinct" }
 
-  val all: Seq[AggKind] = Seq(Count, Sum, Avg, StdDev, Max, Min, Last, Prev, CountDistinct)
+  /** Every kind; a kind's index here is its tag in a serialized state. */
+  val all: IndexedSeq[AggKind] = Vector(Count, Sum, Avg, StdDev, Max, Min, Last, Prev, CountDistinct)
   def parse(s: String): AggKind =
     all.find(_.name.equalsIgnoreCase(s)).getOrElse(
       throw new IllegalArgumentException(s"unknown aggregation '$s'"))
@@ -31,9 +32,9 @@ object AggKind {
   * they were inserted (FIFO, guaranteed by the reservoir's timestamp order),
   * which the deque-based min/max rely on.
   *
-  * State is serializable ([[write]]/[[AggState.read]]) because, as in the
-  * paper, aggregation states live in an embedded key-value store, one key
-  * per (metric, entity).
+  * State is serializable ([[AggState.toBytes]]/[[AggState.fromBytes]])
+  * because, as in the paper, aggregation states live in an embedded
+  * key-value store, one key per (metric, entity).
   */
 trait AggState {
   def kind: AggKind
@@ -42,6 +43,8 @@ trait AggState {
   /** Current aggregate; None when the window is empty and no value is defined. */
   def value: Option[Any]
   def write(out: DataOutputStream): Unit
+  /** Loads what [[write]] wrote into this state, which is fresh. */
+  def read(in: DataInputStream): Unit
   /** Set while the plan's state cache holds updates of this state that the
     * store lacks; not part of the serialized state.
     */
@@ -54,42 +57,40 @@ object AggState {
     case d: Double => d
     case l: Long   => l.toDouble
     case i: Int    => i.toDouble
-    case s: String => s.toDouble
     case other     => throw new IllegalArgumentException(s"not numeric: $other")
   }
 
   /** count — one long. */
-  final class CountState(var n: Long = 0L) extends AggState {
+  final class CountState extends AggState {
+    private var n = 0L
     val kind = AggKind.Count
     def insert(v: Any): Unit = n += 1
     def evict(v: Any): Unit = { require(n > 0, "evict from empty count"); n -= 1 }
     def value: Option[Any] = Some(n)
     def write(out: DataOutputStream): Unit = out.writeLong(n)
+    def read(in: DataInputStream): Unit = n = in.readLong()
   }
 
-  /** sum — one double (plus a count so an empty window yields None). */
-  final class SumState(var n: Long = 0L, var s: Double = 0.0) extends AggState {
-    val kind = AggKind.Sum
+  /** sum and avg — a sum plus a counter (the paper's example of auxiliary
+    * data), so an empty window yields None.
+    */
+  final class SumState(val kind: AggKind) extends AggState {
+    private var n = 0L
+    private var s = 0.0
     def insert(v: Any): Unit = { n += 1; s += numOf(v) }
     def evict(v: Any): Unit = { n -= 1; s -= numOf(v); if (n == 0) s = 0.0 }
-    def value: Option[Any] = if (n == 0) None else Some(s)
+    def value: Option[Any] = if (n == 0) None else Some(if (kind == AggKind.Avg) s / n else s)
     def write(out: DataOutputStream): Unit = { out.writeLong(n); out.writeDouble(s) }
-  }
-
-  /** avg — sum plus a counter (the paper's example of auxiliary data). */
-  final class AvgState(var n: Long = 0L, var s: Double = 0.0) extends AggState {
-    val kind = AggKind.Avg
-    def insert(v: Any): Unit = { n += 1; s += numOf(v) }
-    def evict(v: Any): Unit = { n -= 1; s -= numOf(v); if (n == 0) s = 0.0 }
-    def value: Option[Any] = if (n == 0) None else Some(s / n)
-    def write(out: DataOutputStream): Unit = { out.writeLong(n); out.writeDouble(s) }
+    def read(in: DataInputStream): Unit = { n = in.readLong(); s = in.readDouble() }
   }
 
   /** stdDev — the three Welford parameters (n, mean, M2) with the inverse
     * update on evict; population standard deviation sqrt(M2/n).
     */
-  final class StdDevState(var n: Long = 0L, var mean: Double = 0.0, var m2: Double = 0.0)
-      extends AggState {
+  final class StdDevState extends AggState {
+    private var n = 0L
+    private var mean = 0.0
+    private var m2 = 0.0
     val kind = AggKind.StdDev
     def insert(v: Any): Unit = {
       val x = numOf(v); n += 1
@@ -111,19 +112,18 @@ object AggState {
     def write(out: DataOutputStream): Unit = {
       out.writeLong(n); out.writeDouble(mean); out.writeDouble(m2)
     }
+    def read(in: DataInputStream): Unit = { n = in.readLong(); mean = in.readDouble(); m2 = in.readDouble() }
   }
 
   /** max/min — monotonic deque indexed by arrival sequence number (the
     * classic sliding-window extremum structure the paper cites [Knuth]).
     * Correct because evictions arrive in insertion order.
     */
-  final class ExtremumState(val isMax: Boolean,
-                            var insertSeq: Long = 0L,
-                            var evictSeq: Long = 0L,
-                            val deque: mutable.ArrayDeque[(Long, Double)] = mutable.ArrayDeque.empty)
-      extends AggState {
-    val kind: AggKind = if (isMax) AggKind.Max else AggKind.Min
-    private def dominates(a: Double, b: Double): Boolean = if (isMax) a >= b else a <= b
+  final class ExtremumState(val kind: AggKind) extends AggState {
+    private var insertSeq = 0L
+    private var evictSeq = 0L
+    private val deque = mutable.ArrayDeque.empty[(Long, Double)]
+    private def dominates(a: Double, b: Double): Boolean = if (kind == AggKind.Max) a >= b else a <= b
     def insert(v: Any): Unit = {
       val x = numOf(v)
       while (deque.nonEmpty && dominates(x, deque.last._2)) deque.removeLast()
@@ -136,9 +136,13 @@ object AggState {
     }
     def value: Option[Any] = deque.headOption.map(_._2)
     def write(out: DataOutputStream): Unit = {
-      out.writeBoolean(isMax); out.writeLong(insertSeq); out.writeLong(evictSeq)
+      out.writeLong(insertSeq); out.writeLong(evictSeq)
       out.writeInt(deque.size)
       deque.foreach { case (s, x) => out.writeLong(s); out.writeDouble(x) }
+    }
+    def read(in: DataInputStream): Unit = {
+      insertSeq = in.readLong(); evictSeq = in.readLong()
+      (0 until in.readInt()).foreach(_ => deque.append((in.readLong(), in.readDouble())))
     }
   }
 
@@ -146,23 +150,24 @@ object AggState {
     * when it empties the window (tail eviction never removes the newest
     * events of a non-empty sliding window).
     */
-  final class RecentState(val wantPrev: Boolean,
-                          var n: Long = 0L,
-                          var lastV: Option[Double] = None,
-                          var prevV: Option[Double] = None)
-      extends AggState {
-    val kind: AggKind = if (wantPrev) AggKind.Prev else AggKind.Last
+  final class RecentState(val kind: AggKind) extends AggState {
+    private var n = 0L
+    private var lastV: Option[Double] = None
+    private var prevV: Option[Double] = None
     def insert(v: Any): Unit = { n += 1; prevV = lastV; lastV = Some(numOf(v)) }
     def evict(v: Any): Unit = {
       n -= 1
       if (n == 0) { lastV = None; prevV = None }
       else if (n == 1) prevV = None
     }
-    def value: Option[Any] = if (wantPrev) prevV else lastV
+    def value: Option[Any] = if (kind == AggKind.Prev) prevV else lastV
     def write(out: DataOutputStream): Unit = {
-      out.writeBoolean(wantPrev); out.writeLong(n)
-      out.writeBoolean(lastV.isDefined); out.writeDouble(lastV.getOrElse(0.0))
-      out.writeBoolean(prevV.isDefined); out.writeDouble(prevV.getOrElse(0.0))
+      out.writeLong(n)
+      Seq(lastV, prevV).foreach { v => out.writeBoolean(v.isDefined); out.writeDouble(v.getOrElse(0.0)) }
+    }
+    def read(in: DataInputStream): Unit = {
+      def value(): Option[Double] = { val defined = in.readBoolean(); Some(in.readDouble()).filter(_ => defined) }
+      n = in.readLong(); lastV = value(); prevV = value()
     }
   }
 
@@ -170,8 +175,8 @@ object AggState {
     * auxiliary RocksDB column family; here they are part of the serialized
     * state, cached and persisted like every other kind's).
     */
-  final class CountDistinctState(val counts: mutable.HashMap[String, Long] = mutable.HashMap.empty)
-      extends AggState {
+  final class CountDistinctState extends AggState {
+    private val counts = mutable.HashMap.empty[String, Long]
     val kind = AggKind.CountDistinct
     def insert(v: Any): Unit = { val k = v.toString; counts.update(k, counts.getOrElse(k, 0L) + 1) }
     def evict(v: Any): Unit = {
@@ -187,25 +192,27 @@ object AggState {
       out.writeInt(counts.size)
       counts.foreach { case (k, c) => out.writeUTF(k); out.writeLong(c) }
     }
+    def read(in: DataInputStream): Unit =
+      (0 until in.readInt()).foreach(_ => counts.update(in.readUTF(), in.readLong()))
   }
 
   /** Fresh zero state for a kind. */
   def init(kind: AggKind): AggState = kind match {
-    case AggKind.Count         => new CountState()
-    case AggKind.Sum           => new SumState()
-    case AggKind.Avg           => new AvgState()
-    case AggKind.StdDev        => new StdDevState()
-    case AggKind.Max           => new ExtremumState(isMax = true)
-    case AggKind.Min           => new ExtremumState(isMax = false)
-    case AggKind.Last          => new RecentState(wantPrev = false)
-    case AggKind.Prev          => new RecentState(wantPrev = true)
-    case AggKind.CountDistinct => new CountDistinctState()
+    case AggKind.Count                => new CountState
+    case AggKind.Sum | AggKind.Avg    => new SumState(kind)
+    case AggKind.StdDev               => new StdDevState
+    case AggKind.Max | AggKind.Min    => new ExtremumState(kind)
+    case AggKind.Last | AggKind.Prev  => new RecentState(kind)
+    case AggKind.CountDistinct        => new CountDistinctState
   }
 
+  /** The state's kind as a one-byte tag, its index in [[AggKind.all]], then
+    * the state as its [[AggState.write]] writes it.
+    */
   def toBytes(s: AggState): Array[Byte] = {
     val bos = new ByteArrayOutputStream()
     val out = new DataOutputStream(bos)
-    out.writeUTF(s.kind.name)
+    out.writeByte(AggKind.all.indexOf(s.kind))
     s.write(out)
     out.flush()
     bos.toByteArray
@@ -213,30 +220,8 @@ object AggState {
 
   def fromBytes(bytes: Array[Byte]): AggState = {
     val in = new DataInputStream(new ByteArrayInputStream(bytes))
-    val kind = AggKind.parse(in.readUTF())
-    read(kind, in)
-  }
-
-  def read(kind: AggKind, in: DataInputStream): AggState = kind match {
-    case AggKind.Count  => new CountState(in.readLong())
-    case AggKind.Sum    => new SumState(in.readLong(), in.readDouble())
-    case AggKind.Avg    => new AvgState(in.readLong(), in.readDouble())
-    case AggKind.StdDev => new StdDevState(in.readLong(), in.readDouble(), in.readDouble())
-    case AggKind.Max | AggKind.Min =>
-      val isMax = in.readBoolean(); val is = in.readLong(); val es = in.readLong()
-      val sz = in.readInt()
-      val dq = mutable.ArrayDeque.empty[(Long, Double)]
-      (0 until sz).foreach(_ => dq.append((in.readLong(), in.readDouble())))
-      new ExtremumState(isMax, is, es, dq)
-    case AggKind.Last | AggKind.Prev =>
-      val wantPrev = in.readBoolean(); val n = in.readLong()
-      val l = if (in.readBoolean()) { Some(in.readDouble()) } else { in.readDouble(); None }
-      val p = if (in.readBoolean()) { Some(in.readDouble()) } else { in.readDouble(); None }
-      new RecentState(wantPrev, n, l, p)
-    case AggKind.CountDistinct =>
-      val sz = in.readInt()
-      val m = mutable.HashMap.empty[String, Long]
-      (0 until sz).foreach(_ => m.update(in.readUTF(), in.readLong()))
-      new CountDistinctState(m)
+    val st = init(AggKind.all(in.readByte()))
+    st.read(in)
+    st
   }
 }

@@ -143,7 +143,6 @@ final class ProcessorUnit(val unitId: String,
           producer.send(replyTopic, r.eventId.toString, Codecs.replyToBytes(r), rec.timestamp)
           repliesSent += 1
         }
-        activeConsumer.commit(tp, rec.offset + 1)
       }
     }
     activeMessages.foreach(handle(_, isActive = true))
@@ -162,15 +161,18 @@ final class ProcessorUnit(val unitId: String,
 
   /** Applies one operational request to the registry and to every live and
     * stale processor, so a stale one promoted later answers the current
-    * queries. A record that is not a valid request, or that adds a query
-    * under a name already registered, is skipped and counted: every
-    * processor, opened before or after it, answers the first definition.
+    * queries. A record that is not a valid request, that adds a query
+    * under a name already registered, or one that reads a field outside its
+    * stream's schema or aggregates a non-numeric one, is skipped and counted:
+    * every processor, opened before or after it, answers the first
+    * definition, and no query it could not answer reaches a processor.
     */
   private def applyOp(rec: Record): Unit =
     new String(rec.value, "UTF-8").split('\u0001') match {
       case Array("ADDQ", name, sql) =>
         Try(RailgunParser.parse(sql, name)) match {
-          case Success(q) if !queries.contains(q.name) =>
+          case Success(q) if !queries.contains(q.name) &&
+              streams.get(q.stream).exists(s => q.readsOnly(s.schema)) =>
             queries(q.name) = q
             val topic = StreamMeta.topic(q.stream, q.partitioner)
             (live ++ stale).foreach { case (tp, proc) => if (tp.topic == topic) proc.addQuery(q) }

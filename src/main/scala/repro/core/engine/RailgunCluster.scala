@@ -21,13 +21,9 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
   replyConsumer.assign(Set(TopicPartition(replyTopic, 0)))
 
   private val streams = mutable.HashMap.empty[String, StreamMeta]
-  /** eventId -> topics still awaited */
-  private val pending = mutable.HashMap.empty[Long, mutable.Set[String]]
-  /** eventId -> collected results */
-  private val collected = mutable.HashMap.empty[Long, mutable.ArrayBuffer[MetricResult]]
+  /** eventId -> (topics still awaited, results collected so far) */
+  private val pending = mutable.HashMap.empty[Long, (mutable.Set[String], mutable.ArrayBuffer[MetricResult])]
   private val done = mutable.HashMap.empty[Long, Seq[MetricResult]]
-
-  var eventsPublished: Long = 0L
 
   def registerStream(meta: StreamMeta): Unit = streams(meta.name) = meta
 
@@ -38,12 +34,10 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
     val meta = streams.getOrElse(stream,
       throw new NoSuchElementException(s"unknown stream $stream"))
     val bytes = Codecs.eventToBytes(e)
-    pending(e.id) = mutable.Set(meta.topics: _*)
-    collected(e.id) = mutable.ArrayBuffer.empty
+    pending(e.id) = (mutable.Set(meta.topics: _*), mutable.ArrayBuffer.empty)
     meta.partitioners.foreach { p =>
       producer.send(meta.topicFor(p), e.str(p), bytes, e.ts)
     }
-    eventsPublished += 1
     meta.partitioners.size
   }
 
@@ -53,13 +47,12 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
   def pollReplies(): Unit = {
     replyConsumer.poll(1024).foreach { rec =>
       val reply = Codecs.replyFromBytes(rec.value)
-      pending.get(reply.eventId).foreach { awaiting =>
+      pending.get(reply.eventId).foreach { case (awaiting, collected) =>
         if (awaiting.remove(reply.topic)) {
-          collected(reply.eventId) ++= reply.results
+          collected ++= reply.results
           if (awaiting.isEmpty) {
-            done(reply.eventId) = collected(reply.eventId).toSeq
+            done(reply.eventId) = collected.toSeq
             pending.remove(reply.eventId)
-            collected.remove(reply.eventId)
           }
         }
       }
@@ -149,9 +142,9 @@ final class RailgunCluster(val kafka: MiniKafka,
 
   /** After any rebalance: push the replica plan to units, demote unassigned
     * processors to stale, and run recovery transfers for assignments landing
-    * on processors without local data (§4.2): the unit restores the copied
-    * checkpoint and replays the log from its offset. A unit with no donor
-    * already replays from the start.
+    * on units without the task's data, live or stale (§4.2): the unit
+    * restores the copied checkpoint and replays the log from its offset. A
+    * unit with no donor already replays from the start.
     */
   private def afterRebalance(): Unit = {
     assignor.lastResult.foreach { result =>
@@ -159,12 +152,12 @@ final class RailgunCluster(val kafka: MiniKafka,
         u.applyReplicaAssignment(result.replica.getOrElse(u.unitId, Set.empty))
       }
       allUnits.foreach(_.demoteUnassigned())
-      result.needsRecovery.foreach { case (unitId, task) =>
-        allUnits.find(_.unitId == unitId).filter(_.processorFor(task).isEmpty).foreach { unit =>
+      allUnits.foreach { unit =>
+        result.allOf(unit.unitId).filter(unit.processorFor(_).isEmpty).foreach { task =>
           val donor = allUnits.iterator.filter(_ ne unit).flatMap(_.processorFor(task)).nextOption()
           donor.foreach { d =>
             d.copyCheckpointTo(unit.taskDir(task))
-            recoveries += ((unitId, task))
+            recoveries += ((unit.unitId, task))
             unit.resume(task)
           }
         }
@@ -191,6 +184,8 @@ final class RailgunCluster(val kafka: MiniKafka,
     require(streams.contains(q.stream), s"stream ${q.stream} not registered")
     require(streams(q.stream).partitioners.contains(q.partitioner),
       s"partitioner ${q.partitioner} not configured for stream ${q.stream}")
+    require(q.readsOnly(streams(q.stream).schema),
+      s"query ${q.name} reads a field outside the schema of ${q.stream} or a non-numeric one")
     producer.send(opsTopic, q.name, s"ADDQ${q.name}$sql".getBytes("UTF-8"))
     q
   }

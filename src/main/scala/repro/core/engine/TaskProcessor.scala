@@ -23,20 +23,24 @@ final class TaskProcessor(val task: TopicPartition,
                           schema: Vector[FieldDef]) {
   Files.createDirectories(dir)
 
-  private var registry = new SchemaRegistry
-  registry.register(schema)
-  private var reservoir = new EventReservoir(dir.resolve("reservoir"), reservoirConfig, registry)
+  private var reservoir = new EventReservoir(dir.resolve("reservoir"), reservoirConfig, new SchemaRegistry)
+  reservoir.registry.register(schema)
   private var store = new LsmStore(dir.resolve("state"), io = reservoir.io)
 
   private var plan: TaskPlan = new TaskPlan(Nil, reservoir, store)
 
   /** Offset of the last record applied to this task's state. */
   var lastOffset: Long = -1L
-  var eventsProcessed: Long = 0L
-  var duplicatesSeen: Long = 0L
+  /** Events stored, late ones included. */
+  def eventsProcessed: Long = reservoir.totalEvents
+  /** Deliveries dropped as duplicates since the reservoir was opened. */
+  def duplicatesSeen: Long = reservoir.duplicates
 
-  /** Registers a metric; its window is backfilled from the reservoir. */
+  /** Registers a metric, which must read only the schema's fields; its
+    * window is backfilled from the reservoir.
+    */
   def addQuery(q: RailgunQuery): Unit = if (!plan.queries.exists(_.name == q.name)) {
+    require(q.readsOnly(schema), s"query ${q.name} reads a field outside the schema or a non-numeric one")
     plan.flushState() // the new plan's state cache starts cold
     plan = new TaskPlan(plan.queries :+ q, reservoir, store, backfillFor = Set(q.name))
   }
@@ -51,25 +55,17 @@ final class TaskProcessor(val task: TopicPartition,
     * Duplicate deliveries (at-least-once replays) do not advance state — they
     * answer from current values, giving exactly-once *effects*. A record that
     * does not decode as an event, whose event lacks a group-by or
-    * aggregated field of the plan, or holds a value the schema's type cannot
-    * store, changes nothing but the offset and has no reply (None).
+    * aggregated field of the plan, or holds a value not of its schema
+    * field's type, changes nothing but the offset and has no reply (None).
     */
   def processRecord(rec: Record): Option[Codecs.Reply] = {
     lastOffset = math.max(lastOffset, rec.offset)
     Try(Codecs.eventFromBytes(rec.value)).toOption
-      .filter(e => plan.canApply(e) && registry.current.encodes(e)).map { event =>
+      .filter(e => plan.canApply(e) && reservoir.registry.current.encodes(e)).map { event =>
       val results = reservoir.append(event) match {
-        case AppendOutcome.Duplicate =>
-          duplicatesSeen += 1
-          plan.currentValues(event)
-        case AppendOutcome.DiscardedLate =>
-          plan.currentValues(event)
-        case AppendOutcome.RewrittenLate(newTs) =>
-          eventsProcessed += 1
-          plan.onEvent(event.copy(ts = newTs))
-        case AppendOutcome.Accepted =>
-          eventsProcessed += 1
-          plan.onEvent(event)
+        case AppendOutcome.Duplicate | AppendOutcome.DiscardedLate => plan.currentValues(event)
+        case AppendOutcome.RewrittenLate(newTs) => plan.onEvent(event.copy(ts = newTs))
+        case AppendOutcome.Accepted => plan.onEvent(event)
       }
       Codecs.Reply(event.id, rec.topic, results)
     }
@@ -105,13 +101,12 @@ final class TaskProcessor(val task: TopicPartition,
   def checkpoint(): Long = {
     awaitCheckpoint()
     val offset = lastOffset
-    val processed = eventsProcessed
     val writeReservoir = reservoir.cut()
     plan.flushState() // cached aggregation states reach the durable store
     store.freeze()
     val st = store
     inFlight = Some(reservoir.io.submit(new Callable[Seq[Path]] {
-      def call(): Seq[Path] = writeManifest(offset, processed, writeReservoir, st)
+      def call(): Seq[Path] = writeManifest(offset, writeReservoir, st)
     }))
     offset
   }
@@ -132,13 +127,12 @@ final class TaskProcessor(val task: TopicPartition,
     * renames it over the last one; only then are the segments that the last
     * one alone listed deleted. Returns the data files it names.
     */
-  private def writeManifest(offset: Long, processed: Long,
+  private def writeManifest(offset: Long,
                             writeReservoir: DataOutputStream => Seq[Path], st: LsmStore): Seq[Path] = {
     val tmp = dir.resolve("checkpoint.bin.tmp")
     val out = new DataOutputStream(new BufferedOutputStream(openManifest(tmp)))
     val (chunkFiles, segments) = try {
       out.writeLong(offset)
-      out.writeLong(processed)
       val chunkFiles = writeReservoir(out)
       (chunkFiles, st.writeCheckpoint(out, force = true))
     } finally out.close()
@@ -163,9 +157,7 @@ final class TaskProcessor(val task: TopicPartition,
       new FileInputStream(checkpointPath.toFile)))
     try {
       lastOffset = in.readLong()
-      eventsProcessed = in.readLong()
       reservoir = EventReservoir.restore(dir.resolve("reservoir"), reservoirConfig, in)
-      registry = reservoir.registry
       store = LsmStore.restore(dir.resolve("state"), in, io = reservoir.io)
       plan = new TaskPlan(plan.queries, reservoir, store)
     } finally in.close()

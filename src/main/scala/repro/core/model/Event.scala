@@ -26,22 +26,11 @@ object FieldType {
     case _                => StringT
   }
 
-  /** Writes `v` as a `t` value, coercing numbers and numeric strings. */
+  /** Writes `v`, a value of type `t` (an Int as a long). */
   def write(out: DataOutput, t: FieldType, v: Any): Unit = t match {
-    case LongT   => out.writeLong(v match { case l: Long => l; case i: Int => i.toLong; case d: Double => d.toLong; case s: String => s.toLong })
-    case DoubleT => out.writeDouble(v match { case d: Double => d; case l: Long => l.toDouble; case i: Int => i.toDouble; case s: String => s.toDouble })
+    case LongT   => out.writeLong(v match { case i: Int => i.toLong; case l => l.asInstanceOf[Long] })
+    case DoubleT => out.writeDouble(v.asInstanceOf[Double])
     case StringT => out.writeUTF(String.valueOf(v))
-  }
-
-  /** Whether [[write]] can write `v` as a `t` value. */
-  def canWrite(t: FieldType, v: Any): Boolean = v match {
-    case _: Long | _: Int | _: Double => true
-    case s: String => t match {
-      case LongT   => scala.util.Try(s.toLong).isSuccess
-      case DoubleT => scala.util.Try(s.toDouble).isSuccess
-      case StringT => true
-    }
-    case _ => t == StringT
   }
 
   /** Reads a `t` value that [[write]] wrote. */
@@ -61,12 +50,13 @@ final case class FieldDef(name: String, ftype: FieldType)
   */
 final case class EventSchema(id: Int, fields: Vector[FieldDef]) {
 
-  /** Whether every value of `e` in a field of this schema can be written as
-    * the field's type; a chunk holding an event that cannot is unwritable.
+  /** Whether every value of `e` in a field of this schema is of the field's
+    * type, the only type its chunks store: the plan then aggregates the same
+    * value from the wire as from a chunk, and every chunk is writable.
     */
   def encodes(e: Event): Boolean = fields.forall { f =>
     val v = e.values.getOrElse(f.name, null)
-    v == null || FieldType.canWrite(f.ftype, v)
+    v == null || FieldType.of(v) == f.ftype
   }
 }
 

@@ -215,7 +215,6 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
   /** Number of distinct prefix nodes (DAG sharing effectiveness). */
   def prefixNodeCount: Int = nodes.size
 
-  var eventsProcessed: Long = 0L
   var insertsApplied: Long = 0L
   var evictsApplied: Long = 0L
 
@@ -284,7 +283,6 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
     * must already have been appended to the reservoir.
     */
   def onEvent(e: Event): Seq[MetricResult] = {
-    eventsProcessed += 1
     val teval = e.ts + 1 // evaluation instant right after arrival (§2)
     var i = 0
     while (i < cursors.length) {

@@ -68,6 +68,14 @@ object JexlLite {
     case (x, y)         => num(x) == num(y)
   }
 
+  /** The fields `expr` reads. */
+  def fields(expr: Expr): Seq[String] = expr match {
+    case FieldRef(name)  => Seq(name)
+    case Unary(_, x)     => fields(x)
+    case Binary(_, l, r) => fields(l) ++ fields(r)
+    case _               => Nil
+  }
+
   /** Evaluates `expr` as a predicate over `event`. */
   def matches(expr: Expr, event: Event): Boolean = truthy(expr.eval(event))
 

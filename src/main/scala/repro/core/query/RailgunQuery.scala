@@ -1,7 +1,7 @@
 package repro.core.query
 
 import repro.core.agg.AggKind
-import repro.core.model.Event
+import repro.core.model.{Event, FieldDef, FieldType}
 
 /** One aggregation of a SELECT list: e.g. sum(amount), count(). */
 final case class AggSpec(kind: AggKind, field: Option[String]) {
@@ -58,6 +58,19 @@ final case class RailgunQuery(
     * group-by keys; the first field is that subset here).
     */
   def partitioner: String = groupBy.head
+
+  /** Whether every field this query groups by, aggregates or filters on is
+    * a field of `schema`, and every aggregation other than count and
+    * countDistinct reads a numeric one. Chunks drop fields outside the
+    * schema, so the plan would see such a field on insert but not on evict;
+    * and a `StringT` value is not a number.
+    */
+  def readsOnly(schema: Seq[FieldDef]): Boolean = {
+    val types = schema.map(f => f.name -> f.ftype).toMap
+    (groupBy ++ aggs.flatMap(_.field) ++ filter.toSeq.flatMap(JexlLite.fields)).forall(types.contains) &&
+      aggs.forall(a => a.kind == AggKind.Count || a.kind == AggKind.CountDistinct ||
+        types(a.field.get) != FieldType.StringT)
+  }
 }
 
 /** Parser for the SQL-like statement grammar of Fig. 4:

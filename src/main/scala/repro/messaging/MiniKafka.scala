@@ -49,7 +49,7 @@ object DefaultStickyAssignor extends GroupAssignor {
 
 /** In-process, single-JVM reproduction of the Kafka behaviours Railgun
   * relies on (§3.3): durable partitioned logs, keyed partitioning, pull
-  * consumers with per-group offsets and rewind, consumer groups guaranteeing
+  * consumers with positions and rewind, consumer groups guaranteeing
   * exactly one consumer per (topic, partition) within a group, and
   * rebalances (with a pluggable assignment strategy) triggered whenever the
   * consumer landscape changes.
@@ -61,7 +61,6 @@ final class MiniKafka {
 
   private val logs = mutable.HashMap.empty[TopicPartition, mutable.ArrayBuffer[Record]]
   private val topics = mutable.HashMap.empty[String, Int] // topic -> partitions
-  private val committed = mutable.HashMap.empty[(String, TopicPartition), Long]
 
   private final class Group(val id: String) {
     var assignor: GroupAssignor = DefaultStickyAssignor
@@ -93,10 +92,8 @@ final class MiniKafka {
   }
 
   def producer(): Producer = new Producer(this)
-  def consumer(groupId: String, clientId: String, nodeId: String = ""): Consumer = {
-    val c = new Consumer(this, groupId, clientId, nodeId)
-    c
-  }
+  def consumer(groupId: String, clientId: String, nodeId: String = ""): Consumer =
+    new Consumer(this, groupId, clientId, nodeId)
 
   private[messaging] def appendRecord(topic: String, partition: Int, key: String,
                                       value: Array[Byte], ts: Long): (Int, Long) = synchronized {
@@ -120,12 +117,6 @@ final class MiniKafka {
       if (from >= log.size) Seq.empty
       else log.slice(from.toInt, math.min(log.size, from.toInt + max)).toSeq
     }
-
-  private[messaging] def commitOffset(groupId: String, tp: TopicPartition, offset: Long): Unit =
-    synchronized { committed((groupId, tp)) = offset }
-
-  def committedOffset(groupId: String, tp: TopicPartition): Option[Long] =
-    synchronized(committed.get((groupId, tp)))
 
   // ---- group membership ---------------------------------------------------
 
@@ -194,7 +185,9 @@ final class Producer(k: MiniKafka) {
 
 /** A pull consumer. Either `subscribe` (group-managed assignment, used by
   * active-task consumers) or `assign` (manual, used by replica-task
-  * consumers, which each sit in their own conceptual group).
+  * consumers, which each sit in their own conceptual group). A newly
+  * assigned partition is read from offset 0 until a `seek`: the broker keeps
+  * no committed offsets, since each task processor checkpoints its own.
   */
 final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, val nodeId: String) {
 
@@ -228,8 +221,6 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
     val revoked = assigned -- tps
     val added = tps -- assigned
     assigned = tps
-    added.foreach(tp => positions.getOrElseUpdate(tp,
-      k.committedOffset(groupId, tp).getOrElse(0L)))
     revoked.foreach(positions.remove)
     if (revoked.nonEmpty || added.nonEmpty) rebalanceListener(revoked, added)
   }
@@ -255,7 +246,6 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
 
   def position(tp: TopicPartition): Long = positions.getOrElse(tp, 0L)
   def seek(tp: TopicPartition, offset: Long): Unit = positions(tp) = offset
-  def commit(tp: TopicPartition, offset: Long): Unit = k.commitOffset(groupId, tp, offset)
 
   def close(): Unit = {
     if (inGroup) { k.leaveGroup(this); inGroup = false }

@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
 import repro.core.agg.{AggKind, AggState}
 
+import java.io.{ByteArrayOutputStream, DataOutputStream}
 import scala.collection.mutable
 
 /** Incremental aggregator states vs brute force over random FIFO
@@ -82,6 +83,19 @@ class AggregatorsSpec extends AnyFunSuite {
           agree(kind, st.value, brute(kind, window.toSeq))
         }
       }, minSuccessful = 40)
+    }
+  }
+
+  test("a state is written as its kind's one-byte tag, then as its own write writes it") {
+    AggKind.all.zipWithIndex.foreach { case (kind, tag) =>
+      val st = AggState.init(kind)
+      Seq(2.0, 3.0).foreach(v => st.insert(if (kind == AggKind.CountDistinct) v.toString else v))
+      val bytes = AggState.toBytes(st)
+      val body = new ByteArrayOutputStream()
+      st.write(new DataOutputStream(body))
+      assert(bytes(0) == tag && bytes.length == 1 + body.size, s"$kind")
+      val back = AggState.fromBytes(bytes)
+      assert(back.kind == kind && back.value == st.value, s"$kind")
     }
   }
 

@@ -381,11 +381,11 @@ class ReservoirSpec extends AnyFunSuite {
     // a String in a DoubleT field: the chunk codec throws when the chunk is written
     r.append(Event(5, 50, Map("amount" -> "abc", "cardId" -> "c0", "n" -> 5L)))
     val bos = new ByteArrayOutputStream()
-    intercept[NumberFormatException](r.checkpoint(new DataOutputStream(bos)))
+    intercept[ClassCastException](r.checkpoint(new DataOutputStream(bos)))
     assert(bos.size == 0, "a manifest was written after a failed chunk write")
     (6 until 10).foreach(i => r.append(mkEvent(i.toLong, i.toLong * 10)))
-    intercept[NumberFormatException](r.checkpoint(new DataOutputStream(bos)))
-    intercept[NumberFormatException](r.close())
+    intercept[ClassCastException](r.checkpoint(new DataOutputStream(bos)))
+    intercept[ClassCastException](r.close())
   }
 
   test("storage accounting: files roll over and bytes are compressed") {

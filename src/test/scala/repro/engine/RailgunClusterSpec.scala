@@ -334,6 +334,70 @@ class RailgunClusterSpec extends AnyFunSuite {
     cluster.close()
   }
 
+  test("a failover transfers nothing to the unit that held the promoted replica") {
+    val cluster = mkCluster(nodes = 3, unitsPerNode = 1, rf = 2)
+    cluster.addQuery("q", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    val events = mkEvents(160, seed = 37)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    events.take(80).foreach(e => cluster.process("payments", e))
+    val replicaHolder = cluster.allUnits.filter(_.nodeId != "node1").flatMap { u =>
+      u.replicaConsumer.assignment.filter(u.processorFor(_).nonEmpty).map(_ -> u.unitId)
+    }.toMap
+    val lost = cluster.allUnits.filter(_.nodeId == "node1").flatMap(_.activeConsumer.assignment)
+      .filter(replicaHolder.contains)
+    assert(lost.nonEmpty, "node1 holds no active task with a replica")
+    val before = cluster.recoveries.size
+    cluster.failNode("node1")
+    lost.foreach { tp =>
+      val owner = cluster.allUnits.find(_.activeConsumer.assignment.contains(tp)).get.unitId
+      assert(owner == replicaHolder(tp), s"$tp went to $owner, not its replica ${replicaHolder(tp)}")
+      assert(!cluster.recoveries.drop(before).contains((owner, tp)), s"$tp transferred to its replica $owner")
+    }
+    events.zipWithIndex.drop(80).foreach { case (e, i) =>
+      assert(cluster.process("payments", e).head.value.contains(TestKit.count(byCard(i))), s"@ $i")
+    }
+    cluster.close()
+  }
+
+  test("a rebalance with unchanged membership transfers nothing") {
+    val cluster = mkCluster(nodes = 3, unitsPerNode = 2, rf = 2)
+    cluster.addQuery("q", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    mkEvents(80, seed = 41).foreach(e => cluster.process("payments", e))
+    val (rebalances, transfers) = (cluster.kafka.rebalances, cluster.recoveries.size)
+    // registering the stream again resubscribes every unit: one rebalance each
+    cluster.registerStream(StreamMeta("payments", Seq("cardId", "merchantId"),
+      Payments.schemaFields, partitionsPerTopic = 4))
+    assert(cluster.kafka.rebalances == rebalances + cluster.allUnits.size)
+    assert(cluster.recoveries.size == transfers, s"transfers: ${cluster.recoveries.drop(transfers)}")
+    cluster.close()
+  }
+
+  private val inadmissible = Seq(
+    "a string field aggregated as a number" ->
+      "SELECT sum(merchantId) FROM payments GROUP BY cardId OVER sliding 300 ms",
+    "a filter on a field outside the schema" ->
+      "SELECT count(*) FROM payments WHERE channel == 'web' GROUP BY cardId OVER sliding 10 ms")
+
+  for ((what, sql) <- inadmissible)
+    test(s"a query on $what is refused and, sent as an operational record, skipped; the others keep answering") {
+      val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
+      cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+      intercept[IllegalArgumentException](cluster.addQuery("bad", sql))
+      val events = mkEvents(120, seed = 43).map(e => e.copy(values = e.values + ("channel" -> "web")))
+      val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+      events.zipWithIndex.foreach { case (e, i) =>
+        if (i == 40)
+          cluster.kafka.producer().send(cluster.opsTopic, "bad", s"ADDQ\u0001bad\u0001$sql".getBytes("UTF-8"))
+        val r = cluster.process("payments", e)
+        assert(r.map(_.query).toSet == Set("q"), s"queries @ $i: $r")
+        assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
+        assert(TestKit.approxEq(r.find(_.agg == "sum(amount)").get.value,
+          TestKit.sum(byCard(i), "amount")), s"sum @ $i")
+      }
+      cluster.allUnits.foreach(u => assert(u.opsSkipped == 1, s"${u.unitId} skipped ${u.opsSkipped}"))
+      cluster.close()
+    }
+
   test("adding a metric mid-stream backfills from the reservoir (operational request)") {
     val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 1)
     cluster.addQuery("q1", "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 500 ms")

@@ -132,6 +132,48 @@ class TaskProcessorSpec extends AnyFunSuite {
     task.close()
   }
 
+  /** Runs `sql` (query "p", a 20 ms window) over 40 events on three cards
+    * with 4-event chunks, each chunk written before the next record, so
+    * evictions read events back from written chunks. An event whose
+    * `amount` is not a Double, the schema's type, must be skipped; every
+    * other one answers `expected` over its brute-force window of the stored
+    * events.
+    */
+  private def typeProbe(sql: String, amount: Int => Any, expected: Seq[Event] => Option[Any]): Unit = {
+    val task = new TaskProcessor(tp, TestKit.tempDir("task-types"),
+      ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 2, cacheChunks = 4), Payments.schemaFields)
+    val q = RailgunParser.parse(sql, "p")
+    task.addQuery(q)
+    val evs = (1 to 40).map(i => Event(i.toLong, 1000L + i, Map("cardId" -> s"c${i % 3}", "amount" -> amount(i))))
+    def typed(e: Event) = e.values("amount").isInstanceOf[Double]
+    val stored = evs.filter(typed)
+    val windows = TestKit.bruteSliding(stored, windowMs, _.str("cardId"), q.filter)
+    evs.zipWithIndex.foreach { case (e, i) =>
+      val reply = task.processRecord(record(e, i))
+      task.reservoirRef.drainIo()
+      if (typed(e)) {
+        val want = expected(windows(stored.indexOf(e)))
+        assert(reply.get.results.head.value == want, s"@ $i: $reply, want $want")
+      } else assert(reply.isEmpty, s"event $i with amount ${e.values("amount")} answered $reply")
+    }
+    task.close()
+  }
+
+  test("a numeric string in a numeric field is skipped, not aggregated (sum)") {
+    typeProbe(s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding $windowMs ms",
+      i => if (i == 12) "12.5" else (i % 5).toDouble, TestKit.sum(_, "amount"))
+  }
+
+  test("a Long in a Double field is skipped: countDistinct evicts what it inserted") {
+    typeProbe(s"SELECT countDistinct(amount) FROM payments GROUP BY cardId OVER sliding $windowMs ms",
+      i => if (i % 2 == 0) (i % 3).toLong else (i % 3).toDouble, w => Some(TestKit.countDistinct(w, "amount")))
+  }
+
+  test("a numeric string is skipped: a filter on the field sees one value on insert and evict") {
+    typeProbe(s"SELECT count(*) FROM payments WHERE amount == 5 GROUP BY cardId OVER sliding $windowMs ms",
+      i => if (i % 4 == 0) "5" else if (i % 3 == 0) 1.0 else 5.0, w => Some(TestKit.count(w)))
+  }
+
   test("a query added over stored events that lack its field skips them on backfill, insert and evict") {
     val task = open(TestKit.tempDir("task-addq"), chunkSize = 4)
     val rnd = new scala.util.Random(9)

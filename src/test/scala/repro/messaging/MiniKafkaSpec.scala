@@ -60,20 +60,6 @@ class MiniKafkaSpec extends AnyFunSuite {
     assert(c.poll().map(_.offset) == Seq(2L, 3L, 4L))
   }
 
-  test("committed offsets are per group and seed new consumers") {
-    val k = new MiniKafka
-    k.createTopic("t", 1)
-    val p = k.producer()
-    (0 until 6).foreach(i => p.send("t", "k", b(s"m$i")))
-    val c1 = k.consumer("g", "c1"); c1.assign(Set(TopicPartition("t", 0)))
-    c1.poll()
-    c1.commit(TopicPartition("t", 0), 4)
-    val c2 = k.consumer("g", "c2"); c2.assign(Set(TopicPartition("t", 0)))
-    assert(c2.poll().map(_.offset) == Seq(4L, 5L))
-    val other = k.consumer("other", "c3"); other.assign(Set(TopicPartition("t", 0)))
-    assert(other.poll().size == 6)
-  }
-
   test("consumer group assigns every partition to exactly one member") {
     val k = new MiniKafka
     k.createTopic("t", 6)

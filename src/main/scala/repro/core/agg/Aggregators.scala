@@ -1,6 +1,8 @@
 package repro.core.agg
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import repro.core.model.Bytes
+
+import java.io.{DataInputStream, DataOutputStream}
 import scala.collection.mutable
 
 /** The aggregation functions of the Railgun language (Fig. 4 of the paper):
@@ -49,6 +51,10 @@ trait AggState {
     * store lacks; not part of the serialized state.
     */
   private[core] var dirty: Boolean = false
+  /** The store key the plan's state cache holds this state under; not part
+    * of the serialized state.
+    */
+  private[core] var key: String = null
 }
 
 object AggState {
@@ -209,17 +215,12 @@ object AggState {
   /** The state's kind as a one-byte tag, its index in [[AggKind.all]], then
     * the state as its [[AggState.write]] writes it.
     */
-  def toBytes(s: AggState): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val out = new DataOutputStream(bos)
+  def toBytes(s: AggState): Array[Byte] = Bytes.write { out =>
     out.writeByte(AggKind.all.indexOf(s.kind))
     s.write(out)
-    out.flush()
-    bos.toByteArray
   }
 
-  def fromBytes(bytes: Array[Byte]): AggState = {
-    val in = new DataInputStream(new ByteArrayInputStream(bytes))
+  def fromBytes(bytes: Array[Byte]): AggState = Bytes.read(bytes) { in =>
     val st = init(AggKind.all(in.readByte()))
     st.read(in)
     st

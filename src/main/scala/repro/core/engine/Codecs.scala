@@ -1,9 +1,7 @@
 package repro.core.engine
 
-import repro.core.model.{Event, FieldType}
+import repro.core.model.{Bytes, Event, FieldType}
 import repro.core.plan.MetricResult
-
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 
 /** Wire codecs for events and aggregation replies travelling over the
   * messaging layer. An event field travels as its name, its
@@ -13,31 +11,28 @@ object Codecs {
 
   // ---- events -------------------------------------------------------------
 
-  def eventToBytes(e: Event): Array[Byte] = {
-    val bos = new ByteArrayOutputStream(64)
-    val out = new DataOutputStream(bos)
+  def eventToBytes(e: Event): Array[Byte] = Bytes.write { out =>
     out.writeLong(e.id)
     out.writeLong(e.ts)
     out.writeInt(e.values.size)
-    e.values.foreach { case (k, v) =>
+    e.values.foreachEntry { (k, v) =>
       out.writeUTF(k)
       val t = FieldType.of(v)
       out.writeByte(FieldType.code(t))
       FieldType.write(out, t, v)
     }
-    out.flush()
-    bos.toByteArray
   }
 
-  def eventFromBytes(bytes: Array[Byte]): Event = {
-    val in = new DataInputStream(new ByteArrayInputStream(bytes))
+  def eventFromBytes(bytes: Array[Byte]): Event = Bytes.read(bytes) { in =>
     val id = in.readLong()
     val ts = in.readLong()
     val n = in.readInt()
     val b = Map.newBuilder[String, Any]
-    (0 until n).foreach { _ =>
+    var i = 0
+    while (i < n) {
       val k = in.readUTF()
       b += k -> FieldType.read(in, FieldType.fromCode(in.readByte()))
+      i += 1
     }
     Event(id, ts, b.result())
   }
@@ -47,9 +42,7 @@ object Codecs {
   /** A back-end answer for one event on one topic (§3.1 steps 4–5). */
   final case class Reply(eventId: Long, topic: String, results: Seq[MetricResult])
 
-  def replyToBytes(r: Reply): Array[Byte] = {
-    val bos = new ByteArrayOutputStream(64)
-    val out = new DataOutputStream(bos)
+  def replyToBytes(r: Reply): Array[Byte] = Bytes.write { out =>
     out.writeLong(r.eventId)
     out.writeUTF(r.topic)
     out.writeInt(r.results.size)
@@ -63,17 +56,15 @@ object Codecs {
         case Some(other)     => out.writeByte(3); out.writeUTF(String.valueOf(other))
       }
     }
-    out.flush()
-    bos.toByteArray
   }
 
-  def replyFromBytes(bytes: Array[Byte]): Reply = {
-    val in = new DataInputStream(new ByteArrayInputStream(bytes))
+  def replyFromBytes(bytes: Array[Byte]): Reply = Bytes.read(bytes) { in =>
     val eventId = in.readLong()
     val topic = in.readUTF()
     val n = in.readInt()
     val results = Vector.fill(n) {
-      val q = in.readUTF(); val a = in.readUTF()
+      // the few query and aggregation names are shared by every reply
+      val q = in.readUTF().intern(); val a = in.readUTF().intern()
       val v: Option[Any] = in.readByte() match {
         case 0 => None
         case 1 => Some(in.readLong())

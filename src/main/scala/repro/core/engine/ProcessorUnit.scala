@@ -13,7 +13,8 @@ import scala.util.{Success, Try}
 final case class StreamMeta(name: String, partitioners: Seq[String],
                             schema: Vector[FieldDef], partitionsPerTopic: Int) {
   def topicFor(partitioner: String): String = StreamMeta.topic(name, partitioner)
-  def topics: Seq[String] = partitioners.map(topicFor)
+  /** One topic per partitioner, in the order of `partitioners`. */
+  val topics: Seq[String] = partitioners.map(topicFor)
 }
 object StreamMeta {
   def topic(stream: String, partitioner: String): String = s"$stream.$partitioner"

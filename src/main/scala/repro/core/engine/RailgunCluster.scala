@@ -22,8 +22,8 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
 
   private val streams = mutable.HashMap.empty[String, StreamMeta]
   /** eventId -> (topics still awaited, results collected so far) */
-  private val pending = mutable.HashMap.empty[Long, (mutable.Set[String], mutable.ArrayBuffer[MetricResult])]
-  private val done = mutable.HashMap.empty[Long, Seq[MetricResult]]
+  private val pending = mutable.LongMap.empty[(mutable.Set[String], mutable.ArrayBuffer[MetricResult])]
+  private val done = mutable.LongMap.empty[Seq[MetricResult]]
 
   def registerStream(meta: StreamMeta): Unit = streams(meta.name) = meta
 
@@ -35,8 +35,8 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
       throw new NoSuchElementException(s"unknown stream $stream"))
     val bytes = Codecs.eventToBytes(e)
     pending(e.id) = (mutable.Set(meta.topics: _*), mutable.ArrayBuffer.empty)
-    meta.partitioners.foreach { p =>
-      producer.send(meta.topicFor(p), e.str(p), bytes, e.ts)
+    meta.partitioners.lazyZip(meta.topics).foreach { (p, topic) =>
+      producer.send(topic, e.str(p), bytes, e.ts)
     }
     meta.partitioners.size
   }
@@ -51,7 +51,7 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
         if (awaiting.remove(reply.topic)) {
           collected ++= reply.results
           if (awaiting.isEmpty) {
-            done(reply.eventId) = collected.toSeq
+            done(reply.eventId) = collected.toVector
             pending.remove(reply.eventId)
           }
         }

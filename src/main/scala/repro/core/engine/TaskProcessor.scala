@@ -11,6 +11,7 @@ import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, Data
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardCopyOption, StandardOpenOption}
 import java.util.concurrent.{Callable, ExecutionException, Future}
+import scala.collection.mutable
 import scala.util.Try
 
 /** Computes *all* metrics of one (topic, partition) — Railgun's minimal unit
@@ -80,10 +81,10 @@ final class TaskProcessor(val task: TopicPartition,
 
   private def checkpointPath: Path = TaskProcessor.checkpointFile(dir)
 
-  /** The asynchronous half of the last checkpoint until it is awaited; it
-    * returns the data files its manifest names, relative to `dir`.
+  /** The asynchronous halves of the checkpoints in flight, oldest first;
+    * each returns the data files its manifest names, relative to `dir`.
     */
-  private var inFlight: Option[Future[Seq[Path]]] = None
+  private val inFlight = mutable.Queue.empty[Future[Seq[Path]]]
   /** Opens the file a manifest is written to before it is renamed into place. */
   private[repro] var openManifest: Path => OutputStream = p => new FileOutputStream(p.toFile)
 
@@ -94,32 +95,41 @@ final class TaskProcessor(val task: TopicPartition,
     * freezes it. The task's I/O thread then runs the rest after the cut's
     * chunk writes: the frozen memtable's segment, a compaction past the
     * store's segment limit, and the manifest, which is forced to disk and
-    * renamed over the last one. At most one checkpoint is in flight, so this
-    * first awaits the previous one and rethrows its failure. Returns the
-    * checkpointed offset.
+    * renamed over the last one. The I/O thread runs checkpoints in cut
+    * order; with `MaxInFlight` of them in flight this first awaits the
+    * oldest and rethrows its failure, so a merge delays the unit only when
+    * the I/O thread falls that far behind. Returns the checkpointed offset.
     */
   def checkpoint(): Long = {
-    awaitCheckpoint()
+    while (inFlight.size >= TaskProcessor.MaxInFlight) awaitOldest()
     val offset = lastOffset
     val writeReservoir = reservoir.cut()
     plan.flushState() // cached aggregation states reach the durable store
-    store.freeze()
+    val frozen = store.freeze()
     val st = store
-    inFlight = Some(reservoir.io.submit(new Callable[Seq[Path]] {
-      def call(): Seq[Path] = writeManifest(offset, writeReservoir, st)
+    inFlight.enqueue(reservoir.io.submit(new Callable[Seq[Path]] {
+      def call(): Seq[Path] = writeManifest(offset, writeReservoir, st, frozen)
     }))
     offset
   }
 
-  /** Waits for the checkpoint in flight, if any, and rethrows its failure. */
+  /** Waits for the checkpoints in flight, oldest first, and rethrows the
+    * first failure.
+    */
   def awaitCheckpoint(): Unit = awaitManifestFiles()
 
-  /** [[awaitCheckpoint]], returning the data files the awaited manifest
-    * names (none if no checkpoint was in flight).
-    */
-  private def awaitManifestFiles(): Seq[Path] = inFlight.fold(Seq.empty[Path]) { job =>
-    inFlight = None
+  private def awaitOldest(): Seq[Path] = {
+    val job = inFlight.dequeue()
     try job.get() catch { case e: ExecutionException => throw e.getCause }
+  }
+
+  /** [[awaitCheckpoint]], returning the data files the newest awaited
+    * manifest names (none if no checkpoint was in flight).
+    */
+  private def awaitManifestFiles(): Seq[Path] = {
+    var files = Seq.empty[Path]
+    while (inFlight.nonEmpty) files = awaitOldest()
+    files
   }
 
   /** The asynchronous half of a checkpoint, on the I/O thread: writes the
@@ -127,14 +137,14 @@ final class TaskProcessor(val task: TopicPartition,
     * renames it over the last one; only then are the segments that the last
     * one alone listed deleted. Returns the data files it names.
     */
-  private def writeManifest(offset: Long,
-                            writeReservoir: DataOutputStream => Seq[Path], st: LsmStore): Seq[Path] = {
+  private def writeManifest(offset: Long, writeReservoir: DataOutputStream => Seq[Path],
+                            st: LsmStore, frozen: LsmStore.Memtable): Seq[Path] = {
     val tmp = dir.resolve("checkpoint.bin.tmp")
     val out = new DataOutputStream(new BufferedOutputStream(openManifest(tmp)))
     val (chunkFiles, segments) = try {
       out.writeLong(offset)
       val chunkFiles = writeReservoir(out)
-      (chunkFiles, st.writeCheckpoint(out, force = true))
+      (chunkFiles, st.writeCheckpoint(out, force = true, frozen))
     } finally out.close()
     TaskProcessor.force(tmp)
     Files.move(tmp, checkpointPath, StandardCopyOption.ATOMIC_MOVE)
@@ -187,6 +197,12 @@ final class TaskProcessor(val task: TopicPartition,
 }
 
 object TaskProcessor {
+  /** Checkpoints a task processor lets its I/O thread queue before the next
+    * cut waits: enough that the merge a compaction adds to one of them is
+    * absorbed while the unit keeps processing.
+    */
+  val MaxInFlight = 4
+
   /** The checkpoint manifest of the task processor whose directory is `dir`. */
   def checkpointFile(dir: Path): Path = dir.resolve("checkpoint.bin")
 

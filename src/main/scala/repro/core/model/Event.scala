@@ -54,9 +54,9 @@ final case class EventSchema(id: Int, fields: Vector[FieldDef]) {
     * type, the only type its chunks store: the plan then aggregates the same
     * value from the wire as from a chunk, and every chunk is writable.
     */
-  def encodes(e: Event): Boolean = fields.forall { f =>
-    val v = e.values.getOrElse(f.name, null)
-    v == null || FieldType.of(v) == f.ftype
+  def encodes(e: Event): Boolean = fields.indices.forall { i =>
+    val v = e.values.getOrElse(fields(i).name, null)
+    v == null || FieldType.of(v) == fields(i).ftype
   }
 }
 
@@ -66,17 +66,17 @@ final case class EventSchema(id: Int, fields: Vector[FieldDef]) {
 final case class Event(id: Long, ts: Long, values: Map[String, Any]) {
 
   /** Numeric view of a field; Longs widen to Double. */
-  def num(field: String): Double = values.get(field) match {
-    case Some(d: Double) => d
-    case Some(l: Long)   => l.toDouble
-    case Some(i: Int)    => i.toDouble
-    case Some(other)     => throw new IllegalArgumentException(s"field $field not numeric: $other")
-    case None            => throw new NoSuchElementException(s"field $field missing in event $id")
+  def num(field: String): Double = values.getOrElse(field, null) match {
+    case d: Double => d
+    case l: Long   => l.toDouble
+    case i: Int    => i.toDouble
+    case null      => throw new NoSuchElementException(s"field $field missing in event $id")
+    case other     => throw new IllegalArgumentException(s"field $field not numeric: $other")
   }
 
   /** String view of a field (any type renders via toString). */
-  def str(field: String): String = values.get(field) match {
-    case Some(v) => v.toString
-    case None    => throw new NoSuchElementException(s"field $field missing in event $id")
+  def str(field: String): String = values.getOrElse(field, null) match {
+    case null => throw new NoSuchElementException(s"field $field missing in event $id")
+    case v    => v.toString
   }
 }

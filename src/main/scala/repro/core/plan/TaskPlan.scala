@@ -6,6 +6,7 @@ import repro.core.query._
 import repro.core.reservoir.{EventReservoir, ReservoirIterator}
 import repro.core.statestore.LsmStore
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** One aggregation value computed for the arriving event's entity. */
@@ -21,68 +22,64 @@ final case class MetricResult(query: String, agg: String, value: Option[Any])
   * them stay cached.
   */
 final class AggStateCache(store: LsmStore) {
-  import AggStateCache.{Capacity, Cf}
+  import AggStateCache.Capacity
 
   private val map = new java.util.LinkedHashMap[String, AggState](256, 0.75f, true) {
     override def removeEldestEntry(e: java.util.Map.Entry[String, AggState]): Boolean = {
-      if (size() > Capacity) { persist(e.getKey, e.getValue); true } else false
+      if (size() > Capacity) { persist(e.getValue); true } else false
     }
   }
-  // States that went from clean to dirty since the last flush, with their
-  // keys (parallel buffers, no wrapper per entry). An entry whose state has
+  // States that went from clean to dirty since the last flush. One that has
   // been persisted on eviction since is stale: that state is clean again.
-  private val dirtyKeys = mutable.ArrayBuffer.empty[String]
-  private val dirtyStates = mutable.ArrayBuffer.empty[AggState]
+  private val dirty = mutable.ArrayBuffer.empty[AggState]
 
-  private def persist(k: String, st: AggState): Unit =
-    if (st.dirty) { store.put(Cf, k, AggState.toBytes(st)); st.dirty = false }
+  /** Puts `st` under the key it was cached under, which the store then
+    * keeps: a state costs one key `String` however often it is persisted.
+    */
+  private def persist(st: AggState): Unit =
+    if (st.dirty) { store.put(st.key, AggState.toBytes(st)); st.dirty = false }
 
-  /** The state of `k`: cached, else loaded from the store, else a fresh
-    * `kind` state. A fresh state is cached clean, so repeated reads of an
-    * absent key cost one store get, and it is persisted only once updated.
+  /** The state of store key `k` (built by [[AggStateCache.key]]): cached,
+    * else loaded from the store, else a fresh `kind` state. A fresh state is
+    * cached clean, so repeated reads of an absent key cost one store get, and
+    * it is persisted only once updated.
     */
   def get(k: String, kind: AggKind): AggState = {
     val cached = map.get(k)
     if (cached != null) cached
     else {
-      val st = store.get(Cf, k) match {
+      val st = store.get(k) match {
         case Some(bytes) => AggState.fromBytes(bytes)
         case None        => AggState.init(kind)
       }
+      st.key = k
       map.put(k, st)
       st
     }
   }
 
-  /** Records an update of `st`, the cached state of `k`; only its first
-    * update since it was last persisted costs anything.
+  /** Records an update of `st`, a cached state; only its first update since
+    * it was last persisted costs anything.
     */
-  def markDirty(k: String, st: AggState): Unit = if (!st.dirty) {
+  def markDirty(st: AggState): Unit = if (!st.dirty) {
     st.dirty = true
-    // at most Capacity + 1 states are dirty at once, so this halves the buffers
-    if (dirtyStates.size >= 2 * Capacity) dropStale()
-    dirtyKeys += k; dirtyStates += st
-  }
-
-  private def dropStale(): Unit = {
-    var j = 0
-    for (i <- dirtyStates.indices if dirtyStates(i).dirty) {
-      dirtyKeys(j) = dirtyKeys(i); dirtyStates(j) = dirtyStates(i); j += 1
-    }
-    dirtyKeys.dropRightInPlace(dirtyKeys.size - j)
-    dirtyStates.dropRightInPlace(dirtyStates.size - j)
+    // at most Capacity + 1 states are dirty at once, so this halves the buffer
+    if (dirty.size >= 2 * Capacity) dirty.filterInPlace(_.dirty)
+    dirty += st
   }
 
   /** Persists every dirty state (checkpoint barrier / plan rebuild). */
   def flush(): Unit = {
-    for (i <- dirtyStates.indices) persist(dirtyKeys(i), dirtyStates(i))
-    dirtyKeys.clear(); dirtyStates.clear()
+    dirty.foreach(persist)
+    dirty.clear()
   }
 }
 
 object AggStateCache {
-  private val Cf = "agg"
   private val Capacity = 1 << 16
+
+  /** The store key of state `k`, in the store's `agg` column family. */
+  def key(k: String): String = LsmStore.key("agg", k)
 }
 
 /** A leaf of the plan DAG: one aggregation whose per-entity state lives in
@@ -91,7 +88,7 @@ object AggStateCache {
   */
 private final class AggLeaf(val metricId: String, val spec: AggSpec, cache: AggStateCache) {
 
-  private val keyPrefix = metricId + "|"
+  private val keyPrefix = AggStateCache.key(metricId + "|")
 
   private def stateKey(entity: String, bucket: Option[Long]): String =
     bucket match {
@@ -109,7 +106,7 @@ private final class AggLeaf(val metricId: String, val spec: AggSpec, cache: AggS
       val k = stateKey(entity, bucket)
       val st = cache.get(k, spec.kind)
       if (isInsert) st.insert(v) else st.evict(v)
-      cache.markDirty(k, st)
+      cache.markDirty(st)
     }
   }
 
@@ -202,6 +199,9 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
     }
     m.values.toVector
   }
+
+  /** Results per event: one per leaf. */
+  private val resultCount: Int = nodes.map(_.leaves.size).sum
 
   /** The group-by and aggregated fields of every query. */
   private val fieldsRead: Array[String] =
@@ -296,12 +296,17 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
   /** Aggregate read-out for an event's entities without advancing time
     * (used for duplicate deliveries — exactly-once replies).
     */
-  def currentValues(e: Event): Seq[MetricResult] =
-    nodes.flatMap { node =>
+  def currentValues(e: Event): Seq[MetricResult] = {
+    val out = new Array[MetricResult](resultCount)
+    var j = 0
+    nodes.foreach { node =>
       val entity = node.entity(e)
       val bucket = node.bucketOf(e.ts - node.headOffset) // current bucket at the delayed "now"
-      node.leaves.map { case (qName, leaf) =>
-        MetricResult(qName, leaf.spec.label, leaf.value(entity, bucket))
+      node.leaves.foreach { case (qName, leaf) =>
+        out(j) = MetricResult(qName, leaf.spec.label, leaf.value(entity, bucket))
+        j += 1
       }
     }
+    ArraySeq.unsafeWrapArray(out)
+  }
 }

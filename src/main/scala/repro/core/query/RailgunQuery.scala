@@ -5,18 +5,23 @@ import repro.core.model.{Event, FieldDef, FieldType}
 
 /** One aggregation of a SELECT list: e.g. sum(amount), count(). */
 final case class AggSpec(kind: AggKind, field: Option[String]) {
-  def label: String = s"${kind.name}(${field.getOrElse("*")})"
+  val label: String = s"${kind.name}(${field.getOrElse("*")})"
 
   /** What an event feeds into this aggregation's state: a unit for count,
     * the field's string form for countDistinct, else the numeric field; null
     * for an event that lacks the field.
     */
   def valueOf(e: Event): Any = kind match {
-    case AggKind.Count                        => 1.0
+    case AggKind.Count                        => AggSpec.One
     case _ if !e.values.contains(field.get) => null
     case AggKind.CountDistinct                => e.str(field.get)
     case _                                    => e.num(field.get)
   }
+}
+
+object AggSpec {
+  /** What every event feeds into a count, boxed once. */
+  private val One: Any = 1.0
 }
 
 /** Window expressions of the Railgun language (Fig. 4). Hopping windows are

@@ -16,11 +16,11 @@ import scala.collection.mutable
   *
   * Every entry has one flat key, `cf + '\u0000' + key`, whose natural
   * `String` order is the (column family, key) order. Writes land in a hash
-  * memtable. A flush freezes it as the immutable memtable, which gets still
+  * memtable. A flush freezes it as an immutable memtable, which gets still
   * read, sorts its keys once and writes them to an immutable segment file.
   * For each segment the store keeps in memory the sorted key array, each
   * entry's file offsets and value length, a Bloom filter, and one open read
-  * channel. A point read checks the memtable, the frozen memtable, then the
+  * channel. A point read checks the memtable, the frozen memtables, then the
   * segments newest-first: the filter and a binary search decide in memory
   * whether a segment holds the key, and only a hit reads its value from the
   * file. When more than `maxSegments` segments pile up, a k-way merge of
@@ -46,14 +46,15 @@ import scala.collection.mutable
   */
 final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int = 8,
                      io: Executor = LsmStore.InLine) {
-  import LsmStore.{Tombstone, flatKey}
+  import LsmStore.{Tombstone, key => flatKey}
 
   Files.createDirectories(dir)
 
   /** flat key -> value bytes, or `Tombstone` for a delete */
   private var memtable = new java.util.HashMap[String, Array[Byte]]()
   /** The memtable [[freeze]] set aside until its segment is written, or null. */
-  private var frozen: java.util.HashMap[String, Array[Byte]] = null
+  /** Memtables set aside by [[freeze]] and not yet written, newest first. */
+  private var frozen = List.empty[LsmStore.Memtable]
   /** Newest last; replaced whole, under the lock. */
   private var segments = Vector.empty[Segment]
   private var nextSegmentId: Long = 0L
@@ -72,15 +73,17 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   /** The file of segment `id`. */
   private[core] def segmentPath(id: Long): Path = dir.resolve(f"seg-$id%08d.sst")
 
-  /** An immutable segment file and its in-memory index. Entry `i` (the
-    * i-th smallest key) starts at byte `starts(i)`; its value is
-    * `valueLens(i)` bytes at `valueOffsets(i)`, or a tombstone if the length
-    * is negative. The file is `size` bytes long.
+  /** An immutable segment file and its in-memory index of `count` entries,
+    * the first `count` of each array (a merge fills arrays sized for its
+    * sources). Entry `i` (the i-th smallest key) starts at byte `starts(i)`;
+    * its value is `valueLens(i)` bytes at `valueOffsets(i)`, or a tombstone
+    * if the length is negative. The file is `size` bytes long.
     */
   private final class Segment(val id: Long, val keys: Array[String], val starts: Array[Long],
-                              val valueOffsets: Array[Long], val valueLens: Array[Int], val size: Long) {
+                              val valueOffsets: Array[Long], val valueLens: Array[Int],
+                              val count: Int, val size: Long) {
     val path: Path = segmentPath(id)
-    private val bloom = new BloomFilter(keys)
+    private val bloom = new BloomFilter(keys, count)
     private val channel = FileChannel.open(path, StandardOpenOption.READ)
     private var forced = false
 
@@ -88,11 +91,11 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     def indexOf(key: String, hash: Int): Int =
       if (!bloom.mightContain(hash)) -1
       else {
-        val i = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]], key)
+        val i = java.util.Arrays.binarySearch(keys.asInstanceOf[Array[AnyRef]], 0, count, key)
         if (i < 0) -1 else i
       }
 
-    def entryLength(i: Int): Long = (if (i + 1 < starts.length) starts(i + 1) else size) - starts(i)
+    def entryLength(i: Int): Long = (if (i + 1 < count) starts(i + 1) else size) - starts(i)
 
     /** The value of entry `i`, or None for a tombstone. */
     def value(i: Int): Option[Array[Byte]] =
@@ -127,13 +130,12 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       n += 1
     }
 
-    /** Encodes one entry: `writeUTF(cf)`, `writeUTF(key)`, `int len` (-1 for
-      * a tombstone), value bytes.
+    /** Encodes one entry: `writeUTF(flat key)`, `int len` (-1 for a
+      * tombstone), value bytes.
       */
     def write(key: String, value: Array[Byte]): Unit = {
       val start = out.size()
-      val sep = key.indexOf('\u0000')
-      out.writeUTF(key.substring(0, sep)); out.writeUTF(key.substring(sep + 1))
+      out.writeUTF(key)
       if (value eq Tombstone) {
         out.writeInt(-1); record(key, start, out.size(), -1)
       } else {
@@ -152,12 +154,16 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     def finish(): Segment = {
       val size = out.size()
       out.close()
-      new Segment(id, java.util.Arrays.copyOf(keys, n), java.util.Arrays.copyOf(starts, n),
-        java.util.Arrays.copyOf(valueOffsets, n), java.util.Arrays.copyOf(valueLens, n), size)
+      new Segment(id, keys, starts, valueOffsets, valueLens, n, size)
     }
   }
 
-  def put(cf: String, key: String, value: Array[Byte]): Unit = write(flatKey(cf, key), value)
+  def put(cf: String, key: String, value: Array[Byte]): Unit = put(flatKey(cf, key), value)
+
+  /** [[put]] under a flat key built by [[LsmStore.key]]: the store keeps
+    * that very `String`, so a caller that puts one key often builds it once.
+    */
+  def put(flat: String, value: Array[Byte]): Unit = write(flat, value)
 
   def delete(cf: String, key: String): Unit = write(flatKey(cf, key), Tombstone)
 
@@ -170,11 +176,14 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     if (full) flush()
   }
 
-  def get(cf: String, key: String): Option[Array[Byte]] = synchronized {
+  def get(cf: String, key: String): Option[Array[Byte]] = get(flatKey(cf, key))
+
+  /** [[get]] under a flat key built by [[LsmStore.key]]. */
+  def get(k: String): Option[Array[Byte]] = synchronized {
     gets += 1
-    val k = flatKey(cf, key)
     var m = memtable.get(k)
-    if ((m eq null) && (frozen ne null)) m = frozen.get(k)
+    var older = frozen
+    while ((m eq null) && older.nonEmpty) { m = older.head.get(k); older = older.tail }
     if (m ne null) { if (m eq Tombstone) None else Some(m) }
     else {
       val hash = k.hashCode
@@ -196,28 +205,31 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   }
 
   /** Flushes the memtable to a new sorted segment. */
-  def flush(): Unit = runIo { freeze(); writeFrozen() }
+  def flush(): Unit = runIo(writeFrozen(freeze()))
 
   /** Merges all segments into one (newest value wins, tombstones dropped). */
   def compact(): Unit = runIo(compactSegments())
 
-  /** Sets the memtable aside as the frozen memtable, which gets still read,
-    * until [[writeFrozen]] writes it as a segment. The synchronous half of a
-    * checkpoint; at most one memtable is frozen at a time.
+  /** Sets the memtable aside as a frozen memtable, which gets still read
+    * until [[writeFrozen]] writes it as a segment, and returns it; null if
+    * the memtable is empty. The synchronous half of a checkpoint; several
+    * memtables may be frozen at once, and are written in freezing order.
     */
-  private[core] def freeze(): Unit = synchronized {
-    require(frozen eq null, "the frozen memtable is not written yet")
-    if (!memtable.isEmpty) {
-      frozen = memtable
+  private[core] def freeze(): LsmStore.Memtable = synchronized {
+    if (memtable.isEmpty) null
+    else {
+      val m = memtable
+      frozen ::= m
       memtable = new java.util.HashMap[String, Array[Byte]]()
+      m
     }
   }
 
-  /** Writes the frozen memtable, if any, as the newest segment, then
-    * compacts if more than `maxSegments` segments are live. Runs on `io`.
+  /** Writes `m`, a memtable [[freeze]] returned (or null: nothing), as the
+    * newest segment, then compacts if more than `maxSegments` segments are
+    * live. Runs on `io`, in freezing order.
     */
-  private[core] def writeFrozen(): Unit = {
-    val m = synchronized(frozen)
+  private[core] def writeFrozen(m: LsmStore.Memtable): Unit = {
     if (m ne null) {
       val keys = m.keySet.toArray(new Array[String](0))
       java.util.Arrays.sort(keys.asInstanceOf[Array[AnyRef]])
@@ -226,7 +238,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
       val segment = w.finish()
       val live = synchronized {
         segments :+= segment
-        frozen = null
+        frozen = frozen.filterNot(_ eq m)
         flushes += 1
         segments.size
       }
@@ -241,28 +253,29 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   private def mergeSegments(segs: IndexedSeq[Segment])(visit: (Int, Int) => Unit): Unit = {
     val n = segs.size
     val pos = new Array[Int](n)
+    // the segments whose next key is the smallest, newest first
+    val tied = new Array[Int](n)
     var done = false
     while (!done) {
       var min: String = null
-      var win = -1
+      var ties = 0
       var i = n - 1 // newest first: on equal keys the newest segment wins
       while (i >= 0) {
         val s = segs(i)
-        if (pos(i) < s.keys.length) {
+        if (pos(i) < s.count) {
           val k = s.keys(pos(i))
-          if ((min eq null) || k.compareTo(min) < 0) { min = k; win = i }
+          val c = if (min eq null) -1 else k.compareTo(min)
+          if (c < 0) { min = k; tied(0) = i; ties = 1 }
+          else if (c == 0) { tied(ties) = i; ties += 1 }
         }
         i -= 1
       }
       if (min eq null) done = true
       else {
+        val win = tied(0)
         if (segs(win).valueLens(pos(win)) >= 0) visit(win, pos(win))
         i = 0
-        while (i < n) {
-          val ks = segs(i).keys
-          if (pos(i) < ks.length && ks(pos(i)) == min) pos(i) += 1
-          i += 1
-        }
+        while (i < ties) { pos(tied(i)) += 1; i += 1 }
       }
     }
   }
@@ -273,10 +286,10 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
   private def compactSegments(): Unit = {
     val srcs = synchronized(segments)
     if (srcs.size > 1) {
-      val w = new SegmentWriter(srcs.iterator.map(_.keys.length).sum)
+      val w = new SegmentWriter(srcs.iterator.map(_.count).sum)
       // each source is read sequentially: the merge visits its entries in file order
       val readers = srcs.map(s => new DataInputStream(
-        new BufferedInputStream(new FileInputStream(s.path.toFile), 1 << 16)))
+        new BufferedInputStream(new FileInputStream(s.path.toFile))))
       val readPos = new Array[Long](srcs.size)
       var buf = new Array[Byte](256)
       try {
@@ -291,14 +304,16 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
         }
       } finally readers.foreach(_.close())
       val merged = w.finish()
-      synchronized {
+      val unlisted = synchronized {
         segments = merged +: segments.drop(srcs.size)
         compactions += 1
-        srcs.foreach { s =>
-          s.close()
-          if (checkpointed(s.id)) superseded += s.path else Files.deleteIfExists(s.path)
-        }
+        val (listed, unlisted) = srcs.partition(s => checkpointed(s.id))
+        superseded ++= listed.map(_.path)
+        unlisted
       }
+      // no read reaches the sources any more: close and delete them unlocked
+      srcs.foreach(_.close())
+      unlisted.foreach(s => Files.deleteIfExists(s.path))
     }
   }
 
@@ -308,18 +323,17 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     * the previous manifest listed are deleted once the new list is written.
     */
   def checkpoint(out: DataOutputStream): Unit = runIo {
-    freeze()
-    committed(writeCheckpoint(out, force = false))
+    committed(writeCheckpoint(out, force = false, freeze()))
   }
 
-  /** The asynchronous half of a checkpoint, after [[freeze]]: writes the
-    * frozen memtable's segment (compacting past `maxSegments`), then the
+  /** The asynchronous half of a checkpoint, after [[freeze]] returned
+    * `frozen`: writes its segment (compacting past `maxSegments`), then the
     * manifest — the next segment id and the live segment ids, which it
     * returns. With `force` every listed segment file is forced to disk
     * first. Runs on `io`.
     */
-  private[core] def writeCheckpoint(out: DataOutputStream, force: Boolean): Seq[Long] = {
-    writeFrozen()
+  private[core] def writeCheckpoint(out: DataOutputStream, force: Boolean, frozen: LsmStore.Memtable): Seq[Long] = {
+    writeFrozen(frozen)
     val (next, live) = synchronized((nextSegmentId, segments))
     if (force) live.foreach(_.force())
     out.writeLong(next)
@@ -345,7 +359,7 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
 
   private def restoreFrom(in: DataInputStream): Unit = synchronized {
     memtable.clear()
-    frozen = null
+    frozen = Nil
     nextSegmentId = in.readLong()
     val n = in.readInt()
     segments = Vector.fill(n)(indexSegment(in.readLong()))
@@ -366,13 +380,14 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     try {
       while (counting.count < total) {
         starts += counting.count
-        keys += flatKey(fin.readUTF(), fin.readUTF())
+        keys += fin.readUTF()
         val len = fin.readInt()
         valueOffsets += counting.count; valueLens += len
         if (len > 0) fin.skipBytes(len)
       }
     } finally fin.close()
-    new Segment(id, keys.result(), starts.result(), valueOffsets.result(), valueLens.result(), total)
+    val ks = keys.result()
+    new Segment(id, ks, starts.result(), valueOffsets.result(), valueLens.result(), ks.length, total)
   }
 }
 
@@ -387,15 +402,18 @@ private final class CountingInputStream(in: java.io.InputStream) extends java.io
   override def close(): Unit = in.close()
 }
 
-/** Bloom filter over a segment's keys, about `BitsPerKey` bits per key and
-  * `Hashes` probes derived from `String.hashCode` by double hashing.
+/** Bloom filter over the first `count` of a segment's keys, about
+  * `BitsPerKey` bits per key and `Hashes` probes derived from
+  * `String.hashCode` by double hashing.
   */
-private[core] final class BloomFilter(keys: Array[String]) {
+private[core] final class BloomFilter(keys: Array[String], count: Int) {
+  def this(keys: Array[String]) = this(keys, keys.length)
+
   import BloomFilter._
 
-  private val bits = new Array[Long](math.max(1, (keys.length.toLong * BitsPerKey + 63) / 64).toInt)
+  private val bits = new Array[Long](math.max(1, (count.toLong * BitsPerKey + 63) / 64).toInt)
   private val numBits = bits.length.toLong * 64
-  keys.foreach(k => add(k.hashCode))
+  (0 until count).foreach(i => add(keys(i).hashCode))
 
   private def add(hash: Int): Unit = {
     val h = mix(hash)
@@ -438,14 +456,17 @@ private[core] object BloomFilter {
 }
 
 object LsmStore {
+  /** Flat key -> value bytes, or `Tombstone` for a delete. */
+  private[core] type Memtable = java.util.HashMap[String, Array[Byte]]
+
   /** Runs each task on the calling thread: a store without an I/O thread. */
   val InLine: Executor = (task: Runnable) => task.run()
 
   /** Memtable value marking a delete (compared by reference). */
   private val Tombstone = new Array[Byte](0)
 
-  /** `cf + '\u0000' + key`: ordered like the (cf, key) pair. */
-  private def flatKey(cf: String, key: String): String = cf + '\u0000' + key
+  /** The flat key `cf + '\u0000' + key`: ordered like the (cf, key) pair. */
+  def key(cf: String, key: String): String = cf + '\u0000' + key
 
   /** Restores a store from a checkpoint manifest over an existing (or copied)
     * data directory.

@@ -111,11 +111,17 @@ final class MiniKafka {
     (math.abs(key.##.toLong) % n).toInt
   }
 
-  private[messaging] def read(tp: TopicPartition, from: Long, max: Int): Seq[Record] =
+  /** Appends up to `max` records of `tp` from offset `from` to `out`;
+    * returns the offset after the last one appended, or `from` if none.
+    */
+  private[messaging] def read(tp: TopicPartition, from: Long, max: Int,
+                              out: mutable.Growable[Record]): Long =
     synchronized {
-      val log = logs.getOrElse(tp, return Seq.empty)
-      if (from >= log.size) Seq.empty
-      else log.slice(from.toInt, math.min(log.size, from.toInt + max)).toSeq
+      val log = logs.getOrElse(tp, return from)
+      val until = math.min(log.size.toLong, from + max)
+      var i = from
+      while (i < until) { out += log(i.toInt); i += 1 }
+      math.max(from, until)
     }
 
   // ---- group membership ---------------------------------------------------
@@ -193,6 +199,8 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
 
   private var subs: Set[String] = Set.empty
   private var assigned: Set[TopicPartition] = Set.empty
+  /** `assigned` in the order [[poll]] reads it. */
+  private var readOrder: Seq[TopicPartition] = Nil
   private val positions = mutable.HashMap.empty[TopicPartition, Long]
   private var inGroup = false
   private var expelled = false
@@ -220,28 +228,30 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
   private[messaging] def applyAssignment(tps: Set[TopicPartition]): Unit = {
     val revoked = assigned -- tps
     val added = tps -- assigned
-    assigned = tps
+    setAssigned(tps)
     revoked.foreach(positions.remove)
     if (revoked.nonEmpty || added.nonEmpty) rebalanceListener(revoked, added)
   }
 
-  private[messaging] def markExpelled(): Unit = { expelled = true; assigned = Set.empty }
+  private def setAssigned(tps: Set[TopicPartition]): Unit = {
+    assigned = tps
+    readOrder = tps.toSeq.sortBy(tp => (tp.topic, tp.partition))
+  }
+
+  private[messaging] def markExpelled(): Unit = { expelled = true; setAssigned(Set.empty) }
 
   def isExpelled: Boolean = expelled
 
   /** Pulls up to `max` records per assigned partition, advancing positions. */
   def poll(max: Int = 100): Seq[Record] = {
     if (expelled) return Seq.empty
-    val out = mutable.ArrayBuffer.empty[Record]
-    assigned.toSeq.sortBy(tp => (tp.topic, tp.partition)).foreach { tp =>
+    val out = Vector.newBuilder[Record]
+    readOrder.foreach { tp =>
       val pos = positions.getOrElse(tp, 0L)
-      val recs = k.read(tp, pos, max)
-      if (recs.nonEmpty) {
-        positions(tp) = recs.last.offset + 1
-        out ++= recs
-      }
+      val next = k.read(tp, pos, max, out)
+      if (next > pos) positions(tp) = next
     }
-    out.toSeq
+    out.result()
   }
 
   def position(tp: TopicPartition): Long = positions.getOrElse(tp, 0L)
@@ -249,6 +259,6 @@ final class Consumer(k: MiniKafka, val groupId: String, val clientId: String, va
 
   def close(): Unit = {
     if (inGroup) { k.leaveGroup(this); inGroup = false }
-    assigned = Set.empty
+    setAssigned(Set.empty)
   }
 }

@@ -153,12 +153,12 @@ class LsmStoreSpec extends AnyFunSuite {
           case (2, k, _) => if (st.get("cf", k).map(s) != model.get(k)) mismatches += 1
           case (3, _, _) =>
             await()
-            st.freeze()
+            val frozen = st.freeze()
             val (store, atCut) = (st, model.toMap)
             inFlight = Some(io.submit(new Callable[(Array[Byte], Map[String, String])] {
               def call(): (Array[Byte], Map[String, String]) = {
                 val bos = new ByteArrayOutputStream()
-                store.committed(store.writeCheckpoint(new DataOutputStream(bos), force = false))
+                store.committed(store.writeCheckpoint(new DataOutputStream(bos), force = false, frozen))
                 (bos.toByteArray, atCut)
               }
             }))

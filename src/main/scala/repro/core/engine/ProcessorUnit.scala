@@ -12,9 +12,8 @@ import scala.util.{Success, Try}
 /** Metadata of a registered stream: its partitioner fields and schema. */
 final case class StreamMeta(name: String, partitioners: Seq[String],
                             schema: Vector[FieldDef], partitionsPerTopic: Int) {
-  def topicFor(partitioner: String): String = StreamMeta.topic(name, partitioner)
   /** One topic per partitioner, in the order of `partitioners`. */
-  val topics: Seq[String] = partitioners.map(topicFor)
+  val topics: Seq[String] = partitioners.map(StreamMeta.topic(name, _))
 }
 object StreamMeta {
   def topic(stream: String, partitioner: String): String = s"$stream.$partitioner"

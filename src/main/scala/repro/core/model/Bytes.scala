@@ -11,15 +11,9 @@ object Bytes {
 
   private final class Input extends ByteArrayInputStream(Array.emptyByteArray) {
     val data = new DataInputStream(this)
-    def over(bytes: Array[Byte]): DataInputStream = {
-      buf = bytes; pos = 0; mark = 0; count = bytes.length
-      data
-    }
+    def over(bytes: Array[Byte]): DataInputStream = { buf = bytes; pos = 0; mark = 0; count = bytes.length; data }
   }
-
-  private final class Output extends ByteArrayOutputStream(256) {
-    val data = new DataOutputStream(this)
-  }
+  private final class Output extends ByteArrayOutputStream(256) { val data = new DataOutputStream(this) }
 
   private val inputs = ThreadLocal.withInitial[Input](() => new Input)
   private val outputs = ThreadLocal.withInitial[Output](() => new Output)
@@ -30,9 +24,7 @@ object Bytes {
   /** The bytes `write` writes. */
   def write(write: DataOutputStream => Unit): Array[Byte] = {
     val out = outputs.get
-    out.reset()
-    write(out.data)
-    out.data.flush()
+    out.reset(); write(out.data); out.data.flush()
     out.toByteArray
   }
 }

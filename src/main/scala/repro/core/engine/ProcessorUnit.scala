@@ -85,33 +85,27 @@ final class ProcessorUnit(val unitId: String,
   /** Positions this unit's consumers of `tp` where its processor resumes
     * (§4.2): after the last offset its live or stale processor applied;
     * else after the offset of a checkpoint transferred into its directory,
-    * which it restores; else at the start of the log, replaying all of it.
+    * from which it opens the processor; else at the start of the log,
+    * replaying all of it.
     */
   def resume(tp: TopicPartition): Unit = {
-    val next = processorFor(tp) match {
-      case Some(proc) => proc.lastOffset + 1
-      case None if Files.exists(TaskProcessor.checkpointFile(taskDir(tp))) =>
-        val proc = openProcessor(tp)
-        val offset = proc.restoreFromCheckpoint()
-        live(tp) = proc
-        offset + 1
-      case None => 0L
-    }
+    if (processorFor(tp).isEmpty && Files.exists(TaskProcessor.checkpointFile(taskDir(tp))))
+      live(tp) = openProcessor(tp)
+    val next = processorFor(tp).fold(0L)(_.lastOffset + 1)
     if (activeConsumer.assignment.contains(tp)) activeConsumer.seek(tp, next)
     if (replicaConsumer.assignment.contains(tp)) replicaConsumer.seek(tp, next)
   }
 
-  /** Creates the processor of `tp` with the registered queries of its topic.
-    * Pending operational records are applied first: a processor restored
-    * from a checkpoint that met one of its queries only later, as a new one,
-    * would backfill that query's window on top of the restored state.
+  /** Opens the processor of `tp` from its directory with the registered
+    * queries of its topic. Pending operational records are applied first: a
+    * processor restored from a checkpoint that met one of its queries only
+    * later, as a new one, would backfill that query's window on top of the
+    * restored state.
     */
   private def openProcessor(tp: TopicPartition): TaskProcessor = {
     applyPendingOps()
-    val proc = new TaskProcessor(tp, taskDir(tp), reservoirConfig, streamOfTopic(tp.topic).schema)
-    queries.values.filter(q => StreamMeta.topic(q.stream, q.partitioner) == tp.topic)
-      .foreach(proc.addQuery)
-    proc
+    new TaskProcessor(tp, taskDir(tp), reservoirConfig, streamOfTopic(tp.topic).schema,
+      queries.values.filter(q => StreamMeta.topic(q.stream, q.partitioner) == tp.topic).toSeq)
   }
 
   private def ensureProcessor(tp: TopicPartition): TaskProcessor =
@@ -140,7 +134,7 @@ final class ProcessorUnit(val unitId: String,
       if (reply.isEmpty) eventsSkipped += 1
       if (isActive) {
         reply.foreach { r =>
-          producer.send(replyTopic, r.eventId.toString, Codecs.replyToBytes(r), rec.timestamp)
+          producer.sendTo(replyTopic, 0, unitId, Codecs.replyToBytes(r), rec.timestamp)
           repliesSent += 1
         }
       }

@@ -122,16 +122,22 @@ final class RailgunCluster(val kafka: MiniKafka,
   }
 
   /** Crash-style failure: consumers expelled (missed heartbeats), local data
-    * lost with the node. Triggers rebalance + recovery.
+    * lost with the node. Triggers rebalance + recovery from the surviving
+    * copies; then the failed units are closed (their active consumers are
+    * already expelled, so no rebalance follows) and their directories
+    * deleted.
     */
   def failNode(nodeId: String): Unit = {
     val units = nodes.remove(nodeId).getOrElse(
       throw new NoSuchElementException(s"unknown node $nodeId"))
     units.foreach { u => kafka.expel(activeGroup, u.unitId) }
     afterRebalance()
+    units.foreach { u => u.close(); TaskProcessor.deleteTree(baseDir.resolve(u.unitId)) }
   }
 
-  /** Graceful removal: checkpoint, leave the group, rebalance. */
+  /** Graceful removal: checkpoint, leave the group, rebalance. The node's
+    * directories stay on disk.
+    */
   def removeNode(nodeId: String): Unit = {
     val units = nodes.remove(nodeId).getOrElse(
       throw new NoSuchElementException(s"unknown node $nodeId"))

@@ -1,6 +1,6 @@
 package repro.core.engine
 
-import repro.core.model.{Event, FieldDef}
+import repro.core.model.FieldDef
 import repro.core.plan.TaskPlan
 import repro.core.query.RailgunQuery
 import repro.core.reservoir.{AppendOutcome, EventReservoir, ReservoirConfig, SchemaRegistry}
@@ -17,21 +17,42 @@ import scala.util.Try
 /** Computes *all* metrics of one (topic, partition) — Railgun's minimal unit
   * of work (§4.1). Owns a private event reservoir, a private state store and
   * the task plan; shares nothing with other task processors.
+  *
+  * It opens from its directory: when `dir` holds a checkpoint (its own, or
+  * one copied from a donor, §4.2) it restores the checkpointed offset,
+  * reservoir and state store, and the caller replays the log from
+  * `lastOffset + 1`; otherwise it starts empty. Either way `queries` form
+  * its plan, with no backfill.
   */
 final class TaskProcessor(val task: TopicPartition,
                           val dir: Path,
                           reservoirConfig: ReservoirConfig,
-                          schema: Vector[FieldDef]) {
+                          schema: Vector[FieldDef],
+                          queries: Seq[RailgunQuery]) {
   Files.createDirectories(dir)
 
-  private var reservoir = new EventReservoir(dir.resolve("reservoir"), reservoirConfig, new SchemaRegistry)
-  reservoir.registry.register(schema)
-  private var store = new LsmStore(dir.resolve("state"), io = reservoir.io)
-
-  private var plan: TaskPlan = new TaskPlan(Nil, reservoir, store)
+  private def checkpointPath: Path = TaskProcessor.checkpointFile(dir)
 
   /** Offset of the last record applied to this task's state. */
   var lastOffset: Long = -1L
+
+  private val (reservoir, store) =
+    if (Files.exists(checkpointPath)) {
+      val in = new DataInputStream(new BufferedInputStream(new FileInputStream(checkpointPath.toFile)))
+      try {
+        lastOffset = in.readLong()
+        val r = EventReservoir.restore(dir.resolve("reservoir"), reservoirConfig, in)
+        (r, LsmStore.restore(dir.resolve("state"), in, io = r.io))
+      } finally in.close()
+    } else {
+      val registry = new SchemaRegistry
+      registry.register(schema)
+      val r = new EventReservoir(dir.resolve("reservoir"), reservoirConfig, registry)
+      (r, new LsmStore(dir.resolve("state"), io = r.io))
+    }
+
+  private var plan: TaskPlan = new TaskPlan(queries, reservoir, store)
+
   /** Events stored, late ones included. */
   def eventsProcessed: Long = reservoir.totalEvents
   /** Deliveries dropped as duplicates since the reservoir was opened. */
@@ -79,8 +100,6 @@ final class TaskProcessor(val task: TopicPartition,
 
   // ---- checkpoint / recovery ----------------------------------------------
 
-  private def checkpointPath: Path = TaskProcessor.checkpointFile(dir)
-
   /** The asynchronous halves of the checkpoints in flight, oldest first;
     * each returns the data files its manifest names, relative to `dir`.
     */
@@ -106,9 +125,8 @@ final class TaskProcessor(val task: TopicPartition,
     val writeReservoir = reservoir.cut()
     plan.flushState() // cached aggregation states reach the durable store
     val frozen = store.freeze()
-    val st = store
     inFlight.enqueue(reservoir.io.submit(new Callable[Seq[Path]] {
-      def call(): Seq[Path] = writeManifest(offset, writeReservoir, st, frozen)
+      def call(): Seq[Path] = writeManifest(offset, writeReservoir, frozen)
     }))
     offset
   }
@@ -138,40 +156,19 @@ final class TaskProcessor(val task: TopicPartition,
     * one alone listed deleted. Returns the data files it names.
     */
   private def writeManifest(offset: Long, writeReservoir: DataOutputStream => Seq[Path],
-                            st: LsmStore, frozen: LsmStore.Memtable): Seq[Path] = {
+                            frozen: LsmStore.Memtable): Seq[Path] = {
     val tmp = dir.resolve("checkpoint.bin.tmp")
     val out = new DataOutputStream(new BufferedOutputStream(openManifest(tmp)))
     val (chunkFiles, segments) = try {
       out.writeLong(offset)
       val chunkFiles = writeReservoir(out)
-      (chunkFiles, st.writeCheckpoint(out, force = true, frozen))
+      (chunkFiles, store.writeCheckpoint(out, force = true, frozen))
     } finally out.close()
     TaskProcessor.force(tmp)
     Files.move(tmp, checkpointPath, StandardCopyOption.ATOMIC_MOVE)
     TaskProcessor.force(dir)
-    st.committed(segments)
-    (chunkFiles ++ segments.map(st.segmentPath)).map(dir.relativize)
-  }
-
-  /** Restores this processor's state from its directory's checkpoint (after
-    * the directory has been populated locally or copied from a donor).
-    * Returns the checkpointed offset; the caller rewinds the messaging layer
-    * to offset+1 and replays.
-    */
-  def restoreFromCheckpoint(): Long = {
-    awaitCheckpoint()
-    require(Files.exists(checkpointPath), s"no checkpoint in $dir")
-    reservoir.close()
-    store.close()
-    val in = new DataInputStream(new BufferedInputStream(
-      new FileInputStream(checkpointPath.toFile)))
-    try {
-      lastOffset = in.readLong()
-      reservoir = EventReservoir.restore(dir.resolve("reservoir"), reservoirConfig, in)
-      store = LsmStore.restore(dir.resolve("state"), in, io = reservoir.io)
-      plan = new TaskPlan(plan.queries, reservoir, store)
-    } finally in.close()
-    lastOffset
+    store.committed(segments)
+    (chunkFiles ++ segments.map(store.segmentPath)).map(dir.relativize)
   }
 
   /** Copies this processor's latest checkpoint (data files + manifest) into
@@ -205,6 +202,13 @@ object TaskProcessor {
 
   /** The checkpoint manifest of the task processor whose directory is `dir`. */
   def checkpointFile(dir: Path): Path = dir.resolve("checkpoint.bin")
+
+  /** Deletes `dir` and everything under it, if it exists. */
+  def deleteTree(dir: Path): Unit = if (Files.exists(dir)) {
+    val paths = Files.walk(dir)
+    try paths.sorted(java.util.Comparator.reverseOrder[Path]()).forEach(p => Files.deleteIfExists(p))
+    finally paths.close()
+  }
 
   /** Forces a file's or a directory's contents to disk. */
   private def force(p: Path): Unit = {

@@ -1,6 +1,6 @@
 package repro.core.reservoir
 
-import java.util.concurrent.{ExecutorService, Executors, TimeUnit}
+import java.util.concurrent.Executor
 import scala.collection.mutable
 
 /** LRU cache of decompressed chunks with eager (asynchronous) prefetch of
@@ -8,21 +8,18 @@ import scala.collection.mutable
   *
   * Windows consume events strictly by timestamp order, so when the
   * reservoir serves an iterator persisted chunk N it has the cache schedule
-  * a load of N+1 (if persisted); by the time the iterator crosses the
+  * a load of N+1 (if persisted) on `io`, the task's I/O thread, behind the
+  * chunk writes already queued there; by the time the iterator crosses the
   * boundary the chunk is normally already decompressed in memory. A miss
   * pays the load (I/O from the OS page cache in practice) plus
   * decompression/deserialization — the latency-spike source studied in
   * experiment 9(b).
   */
-final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
+final class ChunkCache(val capacity: Int, loader: Long => Chunk, io: Executor) {
 
   private val map = new java.util.LinkedHashMap[Long, Chunk](capacity, 0.75f, true)
   private val inFlight = mutable.HashSet.empty[Long]
   private val lock = new Object
-
-  private val prefetchPool: ExecutorService = Executors.newSingleThreadExecutor { r =>
-    val t = new Thread(r, "chunk-prefetch"); t.setDaemon(true); t
-  }
 
   var hits: Long = 0L
   var misses: Long = 0L
@@ -52,8 +49,8 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
     }
   }
 
-  /** Schedules an eager background load of `chunkId` if absent. The chunk
-    * must already be persisted.
+  /** Schedules an eager load of `chunkId` on `io` if absent. The chunk must
+    * already be persisted.
     */
   def prefetch(chunkId: Long): Unit = {
     val should = lock.synchronized {
@@ -61,7 +58,7 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
       else { inFlight += chunkId; true }
     }
     if (should) {
-      prefetchPool.execute { () =>
+      io.execute { () =>
         try {
           put(chunkId, loader(chunkId))
           lock.synchronized { prefetches += 1 }
@@ -69,15 +66,6 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk) {
         finally lock.synchronized { inFlight -= chunkId }
       }
     }
-  }
-
-  /** Waits for outstanding prefetches (determinism in tests). */
-  def quiesce(): Unit = prefetchPool.submit(new Runnable { def run(): Unit = () }).get()
-
-  /** Stops the prefetch thread once outstanding prefetches finish. */
-  def close(): Unit = {
-    prefetchPool.shutdown()
-    prefetchPool.awaitTermination(30, TimeUnit.SECONDS)
   }
 
   def size: Int = lock.synchronized(map.size())

@@ -3,7 +3,7 @@ package repro.core.reservoir
 import repro.core.model.Event
 
 import java.io.{DataInputStream, DataOutputStream}
-import java.util.concurrent.{ExecutorService, Executors}
+import java.util.concurrent.{ExecutorService, Executors, TimeUnit}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
@@ -68,8 +68,16 @@ final class EventReservoir(val dir: java.nio.file.Path,
                            val config: ReservoirConfig,
                            val registry: SchemaRegistry) {
 
+  /** The task's one I/O thread: chunk writes run on it in chunk-id order,
+    * chunk prefetches behind the writes queued before them, and a task
+    * processor runs the asynchronous half of its checkpoints on it, after
+    * the writes of the chunks the checkpoint's cut finalized.
+    */
+  private[core] val io: ExecutorService = Executors.newSingleThreadExecutor { r =>
+    val t = new Thread(r, "task-io"); t.setDaemon(true); t
+  }
   private[reservoir] var store = new ChunkStore(dir, config.chunksPerFile, registry)
-  val cache = new ChunkCache(config.cacheChunks, id => store.load(id))
+  val cache = new ChunkCache(config.cacheChunks, id => store.load(id), io)
 
   /** The open chunk's events; its id is `lastTs.size`. Finalizing the chunk
     * starts a new buffer, so this one never changes again.
@@ -88,13 +96,6 @@ final class EventReservoir(val dir: java.nio.file.Path,
   private var maxSeenTs: Long = Long.MinValue
   private var total: Long = 0L
 
-  /** The task's one I/O thread: chunk writes run on it in chunk-id order,
-    * and a task processor runs the asynchronous half of its checkpoints on
-    * it, after the writes of the chunks the checkpoint's cut finalized.
-    */
-  private[core] val io: ExecutorService = Executors.newSingleThreadExecutor { r =>
-    val t = new Thread(r, s"task-io"); t.setDaemon(true); t
-  }
   /** First write that failed. */
   @volatile private var persistFailure: Option[Throwable] = None
 
@@ -146,7 +147,9 @@ final class EventReservoir(val dir: java.nio.file.Path,
     drainIo()
   }
 
-  /** Waits for every submitted write, then rethrows the first that failed. */
+  /** Waits for every submitted write and prefetch, then rethrows the first
+    * write that failed.
+    */
   def drainIo(): Unit = {
     io.submit(new Runnable { def run(): Unit = () }).get()
     persistFailure.foreach(t => throw t)
@@ -255,7 +258,12 @@ final class EventReservoir(val dir: java.nio.file.Path,
     }
   }
 
-  def close(): Unit = try flush() finally { io.shutdown(); cache.close(); store.close() }
+  /** Flushes, then stops the I/O thread once its queue has run. */
+  def close(): Unit = try flush() finally {
+    io.shutdown()
+    io.awaitTermination(30, TimeUnit.SECONDS)
+    store.close()
+  }
 }
 
 object EventReservoir {

@@ -52,7 +52,6 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
 
   /** flat key -> value bytes, or `Tombstone` for a delete */
   private var memtable = new java.util.HashMap[String, Array[Byte]]()
-  /** The memtable [[freeze]] set aside until its segment is written, or null. */
   /** Memtables set aside by [[freeze]] and not yet written, newest first. */
   private var frozen = List.empty[LsmStore.Memtable]
   /** Newest last; replaced whole, under the lock. */
@@ -366,8 +365,9 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     checkpointed = segments.iterator.map(_.id).toSet
   }
 
-  /** Rebuilds a segment's in-memory index by scanning its file, tracking byte
-    * offsets with a counting stream.
+  /** Rebuilds a segment's in-memory index by scanning its file; each entry's
+    * offsets follow from the lengths it carries (the key's 2-byte length,
+    * which is peeked before the key is read, and the value's).
     */
   private def indexSegment(id: Long): Segment = {
     val path = segmentPath(id)
@@ -375,31 +375,23 @@ final class LsmStore(val dir: Path, memtableLimit: Int = 8192, maxSegments: Int 
     val keys = Array.newBuilder[String]
     val starts, valueOffsets = Array.newBuilder[Long]
     val valueLens = Array.newBuilder[Int]
-    val counting = new CountingInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
-    val fin = new DataInputStream(counting)
+    val fin = new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
+    var pos = 0L
     try {
-      while (counting.count < total) {
-        starts += counting.count
+      while (pos < total) {
+        starts += pos
+        fin.mark(2)
+        pos += 2 + fin.readUnsignedShort() + 4
+        fin.reset()
         keys += fin.readUTF()
         val len = fin.readInt()
-        valueOffsets += counting.count; valueLens += len
-        if (len > 0) fin.skipBytes(len)
+        valueOffsets += pos; valueLens += len
+        if (len > 0) { fin.skipNBytes(len); pos += len }
       }
     } finally fin.close()
     val ks = keys.result()
     new Segment(id, ks, starts.result(), valueOffsets.result(), valueLens.result(), ks.length, total)
   }
-}
-
-/** InputStream wrapper tracking consumed byte count (segment index rebuild). */
-private final class CountingInputStream(in: java.io.InputStream) extends java.io.InputStream {
-  var count: Long = 0L
-  override def read(): Int = { val b = in.read(); if (b >= 0) count += 1; b }
-  override def read(b: Array[Byte], off: Int, len: Int): Int = {
-    val n = in.read(b, off, len); if (n > 0) count += n; n
-  }
-  override def skip(n: Long): Long = { val s = in.skip(n); count += s; s }
-  override def close(): Unit = in.close()
 }
 
 /** Bloom filter over the first `count` of a segment's keys, about

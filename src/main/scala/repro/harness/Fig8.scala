@@ -2,6 +2,7 @@ package repro.harness
 
 import repro.baseline.{HoppingWindowEngine, PerEventScanEngine}
 import repro.core.agg.AggKind
+import repro.core.engine.TaskProcessor
 import repro.core.query.AggSpec
 import repro.core.statestore.LsmStore
 import repro.spark.Payments
@@ -45,7 +46,7 @@ object Fig8 {
         Harness.settle()
         Harness.timeEach(events)(eng.onEvent)
       } finally store.close()
-    } finally Harness.deleteTree(dir)
+    } finally TaskProcessor.deleteTree(dir)
   }
 
   /** Per-event `processRecord` samples of Railgun's sliding window on the

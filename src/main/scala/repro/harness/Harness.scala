@@ -8,7 +8,7 @@ import repro.messaging.{Record, TopicPartition}
 import repro.sim.{Percentiles, QueueSim}
 import repro.spark.Payments
 
-import java.nio.file.{Files, Path}
+import java.nio.file.Files
 
 /** Shared measurement machinery for the figure-table reproductions.
   *
@@ -43,26 +43,17 @@ object Harness {
   val PaymentsTask: TopicPartition = TopicPartition("payments.cardId", 0)
 
   /** Runs `body` on a fresh task processor of [[PaymentsTask]], in its own
-    * temp directory, with `queries` (name → SQL) added; closes it and
-    * deletes the directory after.
+    * temp directory, with `queries` (name → SQL); closes it and deletes the
+    * directory after.
     */
   def withTask[A](queries: Seq[(String, String)], config: ReservoirConfig = ReservoirConfig())
                  (body: TaskProcessor => A): A = {
     val dir = Files.createTempDirectory("bench-railgun")
     try {
-      val task = new TaskProcessor(PaymentsTask, dir, config, Payments.schemaFields)
-      try {
-        queries.foreach { case (name, sql) => task.addQuery(RailgunParser.parse(sql, name)) }
-        body(task)
-      } finally task.close()
-    } finally deleteTree(dir)
-  }
-
-  /** Deletes `dir` and everything under it, if it exists. */
-  def deleteTree(dir: Path): Unit = if (Files.exists(dir)) {
-    val paths = Files.walk(dir)
-    try paths.sorted(java.util.Comparator.reverseOrder[Path]()).forEach(p => Files.deleteIfExists(p))
-    finally paths.close()
+      val task = new TaskProcessor(PaymentsTask, dir, config, Payments.schemaFields,
+        queries.map { case (name, sql) => RailgunParser.parse(sql, name) })
+      try body(task) finally task.close()
+    } finally TaskProcessor.deleteTree(dir)
   }
 
   /** `events` as the task's records, at consecutive offsets after its last. */
@@ -108,7 +99,6 @@ object Harness {
     */
   def settle(task: TaskProcessor): Unit = {
     task.reservoirRef.drainIo()
-    task.reservoirRef.cache.quiesce()
     settle()
   }
 

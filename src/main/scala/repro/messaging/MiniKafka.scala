@@ -106,11 +106,6 @@ final class MiniKafka {
     (partition, offset)
   }
 
-  private[messaging] def partitionFor(topic: String, key: String): Int = synchronized {
-    val n = partitionsOf(topic)
-    (math.abs(key.##.toLong) % n).toInt
-  }
-
   /** Appends up to `max` records of `tp` from offset `from` to `out`;
     * returns the offset after the last one appended, or `from` if none.
     */
@@ -178,12 +173,17 @@ final class MiniKafka {
   }
 }
 
+object MiniKafka {
+  /** The partition, of `partitions`, that a record keyed `key` lands in. */
+  def partitionOf(key: String, partitions: Int): Int = (math.abs(key.##.toLong) % partitions).toInt
+}
+
 /** Publishes records; with a key, the partition is the key's hash — equal
   * keys always land in the same (topic, partition) (§4).
   */
 final class Producer(k: MiniKafka) {
   def send(topic: String, key: String, value: Array[Byte], ts: Long = 0L): (Int, Long) =
-    k.appendRecord(topic, k.partitionFor(topic, key), key, value, ts)
+    k.appendRecord(topic, MiniKafka.partitionOf(key, k.partitionsOf(topic)), key, value, ts)
 
   def sendTo(topic: String, partition: Int, key: String, value: Array[Byte], ts: Long = 0L): (Int, Long) =
     k.appendRecord(topic, partition, key, value, ts)

@@ -1,5 +1,7 @@
 package repro.sim
 
+import repro.messaging.MiniKafka
+
 import scala.util.Random
 
 /** Discrete-event model of a multi-node Railgun deployment for the scaling
@@ -50,7 +52,7 @@ object ClusterSim {
     */
   def partitionShares(keySample: Seq[String], partitions: Int): Array[Double] = {
     val counts = new Array[Long](partitions)
-    keySample.foreach { k => counts((math.abs(k.##.toLong) % partitions).toInt) += 1 }
+    keySample.foreach(k => counts(MiniKafka.partitionOf(k, partitions)) += 1)
     val total = counts.sum.toDouble
     counts.map(_ / total)
   }

@@ -4,7 +4,7 @@ import org.scalacheck.{Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
 import repro.core.model.Event
 import repro.core.query.JexlLite
-import repro.harness.Harness
+import repro.core.engine.TaskProcessor
 
 import java.nio.file.{Files, Path}
 
@@ -39,7 +39,7 @@ object TestKit {
   }
 
   private val tempDirs = new java.util.concurrent.ConcurrentLinkedQueue[Path]()
-  sys.addShutdownHook(tempDirs.forEach(d => Harness.deleteTree(d)))
+  sys.addShutdownHook(tempDirs.forEach(d => TaskProcessor.deleteTree(d)))
 
   /** A new temp directory, deleted with its contents when the JVM exits. */
   def tempDir(prefix: String): Path = {
@@ -50,17 +50,17 @@ object TestKit {
 
   /** Brute-force per-event sliding aggregate: for the i-th event, aggregates
     * `valueOf` over all events j <= i with the same key and
-    * ts in (e_i.ts - windowMs, e_i.ts], optionally filtered — the ground
-    * truth every engine must match.
+    * ts in (e_i.ts - delayMs - windowMs, e_i.ts - delayMs], optionally
+    * filtered — the ground truth every engine must match.
     */
   def bruteSliding(events: Seq[Event], windowMs: Long, keyOf: Event => String,
-                   filter: Option[JexlLite.Expr] = None): Seq[Seq[Event]] = {
+                   filter: Option[JexlLite.Expr] = None, delayMs: Long = 0L): Seq[Seq[Event]] = {
     val seen = collection.mutable.ArrayBuffer.empty[Event]
     events.map { e =>
       seen += e
       seen.filter(x =>
         keyOf(x) == keyOf(e) &&
-          x.ts > e.ts - windowMs && x.ts <= e.ts &&
+          x.ts > e.ts - delayMs - windowMs && x.ts <= e.ts - delayMs &&
           filter.forall(f => JexlLite.matches(f, x))).toSeq
     }
   }

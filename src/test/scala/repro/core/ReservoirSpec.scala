@@ -159,7 +159,7 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
-  test("Discard policy drops events older than the last closed chunk") {
+  test("Discard policy drops an event older than the newest stored one") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4,
       cacheChunks = 4, latePolicy = LatePolicy.Discard))
     (0 until 12).foreach(i => r.append(mkEvent(i.toLong, i.toLong * 100)))
@@ -169,7 +169,7 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
-  test("Rewrite policy rewrites a too-late timestamp into the open head") {
+  test("Rewrite policy stores a late event at the newest timestamp") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4,
       cacheChunks = 4, latePolicy = LatePolicy.Rewrite))
     (0 until 12).foreach(i => r.append(mkEvent(i.toLong, i.toLong * 100)))
@@ -213,7 +213,7 @@ class ReservoirSpec extends AnyFunSuite {
     }
   }
 
-  test("without closeDelay, events older than a closed chunk are late") {
+  test("an event between a finalized chunk's timestamps and the newest is late") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4))
     (0 until 4).foreach(i => r.append(mkEvent(i.toLong, 100 + i.toLong)))
     r.append(mkEvent(10, 200)) // the newest timestamp
@@ -222,7 +222,7 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
-  test("iteratorFrom a timestamp inside a transition chunk starts in that chunk") {
+  test("iteratorFrom a timestamp inside a finalized chunk starts in that chunk") {
     val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 4, cacheChunks = 4))
     // chunks 0 (ts 100-103) and 1 (ts 104-107) are finalized as they fill;
     // no later timestamp has arrived, so the open chunk is empty
@@ -316,7 +316,7 @@ class ReservoirSpec extends AnyFunSuite {
     val it = r.iterator()
     var bound = 0L
     while (bound <= 400L) { it.advanceTo(bound); bound += 7 }
-    r.cache.quiesce()
+    r.drainIo()
     val st = r.cacheStats
     assert(st.hits + st.misses > 0)
     r.close()
@@ -333,7 +333,7 @@ class ReservoirSpec extends AnyFunSuite {
       val it = r.iteratorFrom((k * 23) % 60)
       it.advanceTo((k * 23) % 60 + 3)
     }
-    r.cache.quiesce()
+    r.drainIo()
     assert(r.cacheStats.evictions > 0)
     assert(r.cache.size <= 2)
     r.close()
@@ -404,12 +404,12 @@ class ReservoirSpec extends AnyFunSuite {
     r.flush()
     val tail = r.iterator()
     tail.advanceTo(5) // touches chunk 0 only
-    r.cache.quiesce()
+    r.drainIo()
     assert(r.cache.size <= 4, s"cache holds ${r.cache.size} chunks") // not the 100 persisted
     r.close()
   }
 
-  test("closing a reservoir stops its chunk-prefetch thread") {
+  test("closing a reservoir stops its task-io thread") {
     // threads started on behalf of the reservoirs join the worker's group
     val group = new ThreadGroup("reservoir-close")
     val work = new java.util.concurrent.FutureTask[Unit](() =>
@@ -423,9 +423,9 @@ class ReservoirSpec extends AnyFunSuite {
     new Thread(group, work).start()
     work.get()
     val threads = new Array[Thread](group.activeCount() + 16)
-    val prefetchers = threads.take(group.enumerate(threads)).filter(_.getName == "chunk-prefetch")
-    prefetchers.foreach(_.join(2000))
-    assert(prefetchers.forall(!_.isAlive),
-      s"${prefetchers.count(_.isAlive)} chunk-prefetch threads outlive their closed reservoirs")
+    val ioThreads = threads.take(group.enumerate(threads)).filter(_.getName == "task-io")
+    ioThreads.foreach(_.join(2000))
+    assert(ioThreads.forall(!_.isAlive),
+      s"${ioThreads.count(_.isAlive)} task-io threads outlive their closed reservoirs")
   }
 }

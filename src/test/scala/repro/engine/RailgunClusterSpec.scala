@@ -9,6 +9,8 @@ import repro.core.query.RailgunParser
 import repro.messaging.{MiniKafka, Record, TopicPartition}
 import repro.spark.Payments
 
+import java.nio.file.{Files, Path}
+import java.util.concurrent.FutureTask
 import scala.util.Random
 
 /** End-to-end Railgun over the in-process substrate: Figure 3's full event
@@ -17,8 +19,9 @@ import scala.util.Random
   */
 class RailgunClusterSpec extends AnyFunSuite {
 
-  private def mkCluster(nodes: Int = 2, unitsPerNode: Int = 2, rf: Int = 2): RailgunCluster = {
-    val cluster = new RailgunCluster(new MiniKafka, TestKit.tempDir("railgun"),
+  private def mkCluster(nodes: Int = 2, unitsPerNode: Int = 2, rf: Int = 2,
+                        baseDir: Path = TestKit.tempDir("railgun")): RailgunCluster = {
+    val cluster = new RailgunCluster(new MiniKafka, baseDir,
       replicationFactor = rf,
       reservoirConfig = ReservoirConfig(chunkSizeEvents = 16, chunksPerFile = 4, cacheChunks = 8))
     (0 until nodes).foreach(i => cluster.addNode(s"node$i", unitsPerNode))
@@ -120,6 +123,45 @@ class RailgunClusterSpec extends AnyFunSuite {
         TestKit.sum(byCard(idx), "amount")), s"post-fail sum @ $idx")
     }
     cluster.close()
+  }
+
+  test("a failed node's processors stop and its data is deleted") {
+    val baseDir = TestKit.tempDir("railgun-fail")
+    val events = mkEvents(200, seed = 12)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    // threads the task processors start join the group of the thread that drives the cluster
+    val group = new ThreadGroup("cluster-fail")
+    def ioThreads(): Seq[Thread] = {
+      val threads = new Array[Thread](group.activeCount() + 16)
+      threads.take(group.enumerate(threads)).filter(_.getName == "task-io").toSeq
+    }
+    val work = new FutureTask[Unit](() => {
+      val cluster = mkCluster(nodes = 3, unitsPerNode = 1, rf = 2, baseDir)
+      cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+      events.zipWithIndex.foreach { case (e, i) =>
+        if (i == 100) {
+          cluster.allUnits.foreach(_.checkpointAll()) // each live processor has started its I/O thread
+          val (failed, survivors) = cluster.allUnits.partition(_.nodeId == "node1")
+          assert(failed.forall(_.staleProcessors.isEmpty))
+          val held = failed.map(_.taskProcessors.size).sum
+          val before = ioThreads()
+          assert(held > 0)
+          cluster.failNode("node1")
+          failed.foreach(u => assert(!Files.exists(baseDir.resolve(u.unitId)), s"${u.unitId} keeps its data"))
+          survivors.foreach(u => assert(Files.exists(baseDir.resolve(u.unitId))))
+          val deadline = System.nanoTime() + 5000000000L
+          while (before.count(!_.isAlive) < held && System.nanoTime() < deadline) Thread.sleep(10)
+          assert(before.count(!_.isAlive) == held, s"${before.count(!_.isAlive)} of $held task-io threads stopped")
+        }
+        val r = cluster.process("payments", e)
+        assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
+        assert(TestKit.approxEq(r.find(_.agg == "sum(amount)").get.value, TestKit.sum(byCard(i), "amount")),
+          s"sum @ $i")
+      }
+      cluster.close()
+    })
+    new Thread(group, work).start()
+    work.get()
   }
 
   test("failure without replicas: state recovers from checkpoint + log replay") {
@@ -279,19 +321,22 @@ class RailgunClusterSpec extends AnyFunSuite {
   }
 
   test("a restored task processor still drops a duplicate of an event before its checkpoint") {
-    val task = new TaskProcessor(TopicPartition("payments.cardId", 0), TestKit.tempDir("dedup-restore"),
-      ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8), Payments.schemaFields)
-    task.addQuery(RailgunParser.parse("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10000 ms", "q"))
+    val dir = TestKit.tempDir("dedup-restore")
+    def open() = new TaskProcessor(TopicPartition("payments.cardId", 0), dir,
+      ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8), Payments.schemaFields,
+      Seq(RailgunParser.parse("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10000 ms", "q")))
+    val task = open()
     val events = (1 to 5).map(i => Event(i.toLong, 1000L + i, Map("cardId" -> "c1", "amount" -> 1.0)))
     def record(e: Event, offset: Long) =
       Record("payments.cardId", 0, offset, "c1", Codecs.eventToBytes(e), e.ts)
     events.zipWithIndex.foreach { case (e, i) => task.processRecord(record(e, i.toLong)) }
     task.checkpoint()
-    task.restoreFromCheckpoint()
-    val reply = task.processRecord(record(events.last, 5L)).get
-    assert(reply.results.head.value.contains(5L), s"duplicate counted: $reply")
-    assert(task.duplicatesSeen == 1)
     task.close()
+    val restored = open()
+    val reply = restored.processRecord(record(events.last, 5L)).get
+    assert(reply.results.head.value.contains(5L), s"duplicate counted: $reply")
+    assert(restored.duplicatesSeen == 1)
+    restored.close()
   }
 
   test("a stale processor promoted again answers the queries added and removed while it was stale") {

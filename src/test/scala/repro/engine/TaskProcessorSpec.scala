@@ -6,13 +6,13 @@ import repro.TestKit
 import repro.core.engine.{Codecs, TaskProcessor}
 import repro.core.model.Event
 import repro.core.plan.MetricResult
-import repro.core.query.RailgunParser
+import repro.core.query.{RailgunParser, RailgunQuery, SlidingWindow}
 import repro.core.reservoir.ReservoirConfig
 import repro.messaging.{Record, TopicPartition}
 import repro.spark.Payments
 
 import java.io.{FileOutputStream, FilterOutputStream, IOException}
-import java.nio.file.{Files, Path}
+import java.nio.file.Path
 
 /** A task processor's checkpoints — a synchronous cut, then the manifest
   * written on the task's I/O thread — and the events it refuses to store.
@@ -24,12 +24,15 @@ class TaskProcessorSpec extends AnyFunSuite {
   private val query = RailgunParser.parse(
     s"SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding $windowMs ms", "q")
 
-  private def open(dir: Path, chunkSize: Int): TaskProcessor = {
-    val task = new TaskProcessor(tp, dir,
-      ReservoirConfig(chunkSizeEvents = chunkSize, chunksPerFile = 2, cacheChunks = 4), Payments.schemaFields)
-    task.addQuery(query)
-    task
-  }
+  private def open(dir: Path, chunkSize: Int, queries: Seq[RailgunQuery] = Seq(query),
+                   cacheChunks: Int = 4): TaskProcessor =
+    new TaskProcessor(tp, dir, ReservoirConfig(chunkSizeEvents = chunkSize, chunksPerFile = 2,
+      cacheChunks = cacheChunks), Payments.schemaFields, queries)
+
+  /** `n` delayed sliding windows "d0", "d1", … computing what "q" does. */
+  private def delayed(n: Int): Seq[RailgunQuery] = (0 until n).map(i => RailgunParser.parse(
+    s"SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding ${10 + 7 * i} ms delayed by ${3 + 11 * i} ms",
+    s"d$i"))
 
   private def record(e: Event, offset: Long): Record =
     Record(tp.topic, tp.partition, offset, e.str("cardId"), Codecs.eventToBytes(e), e.ts)
@@ -43,12 +46,20 @@ class TaskProcessorSpec extends AnyFunSuite {
     }
   }
 
-  /** Indices whose count(*) or sum(amount) differs from the brute-force window. */
-  private def mismatches(evs: Seq[Event], answers: Seq[Seq[MetricResult]]): Seq[Int] = {
-    val windows = TestKit.bruteSliding(evs, windowMs, _.str("cardId"))
+  /** Indices where some query's count(*) or sum(amount) differs from its
+    * brute-force sliding window.
+    */
+  private def mismatches(evs: Seq[Event], answers: Seq[Seq[MetricResult]],
+                         queries: Seq[RailgunQuery] = Seq(query)): Seq[Int] = {
+    val windows = queries.map { q =>
+      val w = q.window.asInstanceOf[SlidingWindow]
+      q.name -> TestKit.bruteSliding(evs, w.sizeMs, _.str("cardId"), delayMs = w.delayMs)
+    }
     evs.indices.filterNot { i =>
-      answers(i).find(_.agg == "count(*)").get.value.contains(TestKit.count(windows(i))) &&
-        TestKit.approxEq(answers(i).find(_.agg == "sum(amount)").get.value, TestKit.sum(windows(i), "amount"))
+      windows.forall { case (name, ws) =>
+        def value(agg: String) = answers(i).find(r => r.query == name && r.agg == agg).get.value
+        value("count(*)").contains(TestKit.count(ws(i))) && TestKit.approxEq(value("sum(amount)"), TestKit.sum(ws(i), "amount"))
+      }
     }
   }
 
@@ -61,12 +72,19 @@ class TaskProcessorSpec extends AnyFunSuite {
       crashAt <- Gen.chooseNum(1, n)
       chunkSize <- Gen.chooseNum(1, 6)
       viaCopy <- Gen.oneOf(false, true)
-    } yield (gaps, cards, cuts, crashAt, chunkSize, viaCopy)
-    TestKit.checkProp(Prop.forAllNoShrink(gen) { case (gaps, cards, cuts, crashAt, chunkSize, viaCopy) =>
+      // delayed windows over a one- or two-chunk cache: their tail iterators
+      // read written chunks, so prefetches and evictions share the I/O
+      // thread with chunk writes and checkpoint jobs
+      nDelayed <- Gen.oneOf(0, 3, 4, 5)
+      cacheChunks <- if (nDelayed == 0) Gen.const(4) else Gen.oneOf(1, 2)
+    } yield (gaps, cards, cuts, crashAt, chunkSize, viaCopy, nDelayed, cacheChunks)
+    TestKit.checkProp(Prop.forAllNoShrink(gen) {
+        case (gaps, cards, cuts, crashAt, chunkSize, viaCopy, nDelayed, cacheChunks) =>
       val evs = events(gaps, cards)
+      val queries = query +: delayed(nDelayed)
       val answers = Array.fill(evs.size)(Seq.empty[MetricResult])
       val dir = TestKit.tempDir("task-async")
-      val first = open(dir, chunkSize)
+      val first = open(dir, chunkSize, queries, cacheChunks)
       (0 until crashAt).foreach { i =>
         answers(i) = first.processRecord(record(evs(i), i)).get.results
         if (cuts(i)) first.checkpoint()
@@ -76,12 +94,12 @@ class TaskProcessorSpec extends AnyFunSuite {
       val restoreDir = if (viaCopy) TestKit.tempDir("task-async-copy") else dir
       if (viaCopy) first.copyCheckpointTo(restoreDir)
       first.close()
-      val second = open(restoreDir, chunkSize)
-      val from =
-        if (Files.exists(TaskProcessor.checkpointFile(restoreDir))) second.restoreFromCheckpoint() + 1 else 0L
+      // the second processor opens from the directory: its checkpoint, if any
+      val second = open(restoreDir, chunkSize, queries, cacheChunks)
+      val from = second.lastOffset + 1
       (from.toInt until evs.size).foreach(i => answers(i) = second.processRecord(record(evs(i), i)).get.results)
       second.close()
-      val bad = mismatches(evs, answers.toSeq)
+      val bad = mismatches(evs, answers.toSeq, queries)
       Prop(bad.isEmpty && (!viaCopy || from == crashAt)) :| s"mismatches at $bad, replayed from $from"
     }, minSuccessful = 40)
   }
@@ -110,26 +128,59 @@ class TaskProcessorSpec extends AnyFunSuite {
     first.close()
 
     val second = open(dir, chunkSize = 4)
-    assert(second.restoreFromCheckpoint() == 24)
+    assert(second.lastOffset == 24)
     (25 until evs.size).foreach(i => answers(i) = second.processRecord(record(evs(i), i)).get.results)
     second.close()
     assert(mismatches(evs, answers.toSeq).isEmpty)
   }
 
+  test("a task processor opened over a copied checkpoint runs one thread, task-io, until close") {
+    val rnd = new scala.util.Random(11)
+    val evs = events(Seq.fill(60)(rnd.nextInt(5)), Seq.fill(60)(rnd.nextInt(3)))
+    val answers = Array.fill(evs.size)(Seq.empty[MetricResult])
+    val queries = query +: delayed(3)
+    val donor = open(TestKit.tempDir("task-thread-donor"), chunkSize = 4, queries, cacheChunks = 2)
+    (0 until 30).foreach(i => answers(i) = donor.processRecord(record(evs(i), i)).get.results)
+    val copy = TestKit.tempDir("task-thread-copy")
+    donor.copyCheckpointTo(copy)
+    donor.close()
+    // threads a task processor starts join the group of the thread that opens it
+    val group = new ThreadGroup("task-open")
+    val work = new java.util.concurrent.FutureTask[Seq[Thread]](() => {
+      val task = open(copy, chunkSize = 4, queries, cacheChunks = 2)
+      assert(task.lastOffset == 29)
+      (30 until evs.size).foreach(i => answers(i) = task.processRecord(record(evs(i), i)).get.results)
+      task.checkpoint()
+      task.awaitCheckpoint()
+      val threads = new Array[Thread](group.activeCount() + 16)
+      val started = threads.take(group.enumerate(threads)).filter(_ ne Thread.currentThread).toSeq
+      task.close()
+      started
+    })
+    new Thread(group, work).start()
+    val started = work.get()
+    assert(started.map(_.getName) == Seq("task-io"), s"threads started: ${started.map(_.getName)}")
+    started.foreach(_.join(2000))
+    assert(started.forall(!_.isAlive), "task-io outlives close()")
+    assert(mismatches(evs, answers.toSeq, queries).isEmpty)
+  }
+
   test("an event holding a value its schema type cannot store is skipped; checkpoints keep working") {
     // no query reads `amount`, so only the chunk codec would meet the value
-    val task = new TaskProcessor(tp, TestKit.tempDir("task-badvalue"),
-      ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 2, cacheChunks = 4), Payments.schemaFields)
-    task.addQuery(RailgunParser.parse("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10000 ms", "q"))
+    val dir = TestKit.tempDir("task-badvalue")
+    val countOnly = Seq(RailgunParser.parse("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10000 ms", "q"))
+    val task = open(dir, chunkSize = 4, countOnly)
     val bad = Event(1, 1001, Map("cardId" -> "c1", "amount" -> "abc"))
     assert(task.processRecord(record(bad, 0)).isEmpty)
     val good = (2 to 6).map(i => Event(i.toLong, 1000L + i, Map("cardId" -> "c1", "amount" -> 1.0)))
     good.zipWithIndex.foreach { case (e, i) => task.processRecord(record(e, i + 1L)) }
     task.checkpoint()
-    assert(task.restoreFromCheckpoint() == 5)
-    val reply = task.processRecord(record(Event(7, 1007, Map("cardId" -> "c1", "amount" -> 1.0)), 6)).get
-    assert(reply.results.find(_.agg == "count(*)").get.value.contains(6L), s"answer $reply")
     task.close()
+    val reopened = open(dir, chunkSize = 4, countOnly)
+    assert(reopened.lastOffset == 5)
+    val reply = reopened.processRecord(record(Event(7, 1007, Map("cardId" -> "c1", "amount" -> 1.0)), 6)).get
+    assert(reply.results.find(_.agg == "count(*)").get.value.contains(6L), s"answer $reply")
+    reopened.close()
   }
 
   /** Runs `sql` (query "p", a 20 ms window) over 40 events on three cards
@@ -140,10 +191,8 @@ class TaskProcessorSpec extends AnyFunSuite {
     * events.
     */
   private def typeProbe(sql: String, amount: Int => Any, expected: Seq[Event] => Option[Any]): Unit = {
-    val task = new TaskProcessor(tp, TestKit.tempDir("task-types"),
-      ReservoirConfig(chunkSizeEvents = 4, chunksPerFile = 2, cacheChunks = 4), Payments.schemaFields)
     val q = RailgunParser.parse(sql, "p")
-    task.addQuery(q)
+    val task = open(TestKit.tempDir("task-types"), chunkSize = 4, Seq(q))
     val evs = (1 to 40).map(i => Event(i.toLong, 1000L + i, Map("cardId" -> s"c${i % 3}", "amount" -> amount(i))))
     def typed(e: Event) = e.values("amount").isInstanceOf[Double]
     val stored = evs.filter(typed)

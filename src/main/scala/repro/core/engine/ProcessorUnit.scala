@@ -196,10 +196,17 @@ final class ProcessorUnit(val unitId: String,
     (live.keySet.toSet -- owned).foreach(tp => stale(tp) = live.remove(tp).get)
   }
 
-  def close(): Unit = {
+  def close(): Unit = stop(_.close())
+
+  /** Drops this unit as a crash would: its task processors are aborted
+    * ([[TaskProcessor.abort]]), not closed.
+    */
+  def abort(): Unit = stop(_.abort())
+
+  private def stop(stopProcessor: TaskProcessor => Unit): Unit = {
     activeConsumer.close()
     replicaConsumer.close()
     opsConsumer.close()
-    (live.values ++ stale.values).foreach(_.close())
+    (live.values ++ stale.values).foreach(stopProcessor)
   }
 }

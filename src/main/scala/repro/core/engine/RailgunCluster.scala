@@ -123,16 +123,17 @@ final class RailgunCluster(val kafka: MiniKafka,
 
   /** Crash-style failure: consumers expelled (missed heartbeats), local data
     * lost with the node. Triggers rebalance + recovery from the surviving
-    * copies; then the failed units are closed (their active consumers are
-    * already expelled, so no rebalance follows) and their directories
-    * deleted.
+    * copies; then the failed units are dropped as a crash would drop them
+    * ([[ProcessorUnit.abort]]: nothing queued runs, nothing is flushed;
+    * their active consumers are already expelled, so no rebalance follows)
+    * and their directories deleted.
     */
   def failNode(nodeId: String): Unit = {
     val units = nodes.remove(nodeId).getOrElse(
       throw new NoSuchElementException(s"unknown node $nodeId"))
     units.foreach { u => kafka.expel(activeGroup, u.unitId) }
     afterRebalance()
-    units.foreach { u => u.close(); TaskProcessor.deleteTree(baseDir.resolve(u.unitId)) }
+    units.foreach { u => u.abort(); TaskProcessor.deleteTree(baseDir.resolve(u.unitId)) }
   }
 
   /** Graceful removal: checkpoint, leave the group, rebalance. The node's

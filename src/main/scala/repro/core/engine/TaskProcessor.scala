@@ -191,6 +191,12 @@ final class TaskProcessor(val task: TopicPartition,
       reservoir.close()
       store.close()
     }
+
+  /** Drops this processor as a crash would: its I/O thread stops without
+    * running the chunk writes and checkpoint jobs queued on it, and its
+    * files close. Nothing is flushed or written.
+    */
+  def abort(): Unit = try reservoir.abort() finally store.close()
 }
 
 object TaskProcessor {

@@ -256,6 +256,18 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
   /** Distinct reservoir iterators in use — Fig. 9b's x-axis. */
   def iteratorCount: Int = cursors.length
 
+  // Retention: the cursor of the largest offset is the slowest, and no
+  // cursor reads a chunk below the one it stands on again, so the reservoir
+  // caches none below it. The line moves only when that cursor crosses into
+  // another chunk.
+  private val slowest: ReservoirIterator = if (cursors.isEmpty) null else cursors.last.it
+  private var retainedFrom: Long = -1L
+  private def retain(): Unit = if ((slowest ne null) && slowest.chunkId != retainedFrom) {
+    retainedFrom = slowest.chunkId
+    reservoir.cache.retainFrom(retainedFrom)
+  }
+  retain()
+
   // Backfill (metric addition over an existing reservoir): prime only the
   // *new* queries' leaves with the historical events currently inside their
   // window, via temporary cursors — the system's random-read path.
@@ -290,6 +302,7 @@ final class TaskPlan(val queries: Seq[RailgunQuery],
       c.it.foreachBelow(teval - c.offset)(c)
       i += 1
     }
+    retain()
     currentValues(e)
   }
 

@@ -14,12 +14,21 @@ import scala.collection.mutable
   * pays the load (I/O from the OS page cache in practice) plus
   * decompression/deserialization — the latency-spike source studied in
   * experiment 9(b).
+  *
+  * Retention: the cache holds no chunk below its floor, the chunk the
+  * slowest window iterator stands on ([[retainFrom]]). Raising the floor
+  * drops every chunk below it, and a chunk below it is neither cached nor
+  * prefetched; such a read (a backfill) pays a miss. Above the floor,
+  * `capacity` is the hard LRU cap. `evictions` counts chunks dropped either
+  * way.
   */
 final class ChunkCache(val capacity: Int, loader: Long => Chunk, io: Executor) {
 
   private val map = new java.util.LinkedHashMap[Long, Chunk](capacity, 0.75f, true)
   private val inFlight = mutable.HashSet.empty[Long]
   private val lock = new Object
+  /** Chunks below this id are behind every window iterator. */
+  private var floor: Long = 0L
 
   var hits: Long = 0L
   var misses: Long = 0L
@@ -39,7 +48,7 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk, io: Executor) {
   }
 
   private def put(chunkId: Long, c: Chunk): Unit = lock.synchronized {
-    if (!map.containsKey(chunkId)) {
+    if (chunkId >= floor && !map.containsKey(chunkId)) {
       map.put(chunkId, c)
       while (map.size() > capacity) {
         val it = map.entrySet().iterator()
@@ -49,12 +58,12 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk, io: Executor) {
     }
   }
 
-  /** Schedules an eager load of `chunkId` on `io` if absent. The chunk must
-    * already be persisted.
+  /** Schedules an eager load of `chunkId` on `io` if absent and not below
+    * the floor. The chunk must already be persisted.
     */
   def prefetch(chunkId: Long): Unit = {
     val should = lock.synchronized {
-      if (map.containsKey(chunkId) || inFlight.contains(chunkId)) false
+      if (chunkId < floor || map.containsKey(chunkId) || inFlight.contains(chunkId)) false
       else { inFlight += chunkId; true }
     }
     if (should) {
@@ -66,6 +75,13 @@ final class ChunkCache(val capacity: Int, loader: Long => Chunk, io: Executor) {
         finally lock.synchronized { inFlight -= chunkId }
       }
     }
+  }
+
+  /** Sets the floor to `chunkId`, dropping every cached chunk below it. */
+  def retainFrom(chunkId: Long): Unit = lock.synchronized {
+    floor = chunkId
+    val it = map.keySet().iterator()
+    while (it.hasNext) if (it.next() < chunkId) { it.remove(); evictions += 1 }
   }
 
   def size: Int = lock.synchronized(map.size())

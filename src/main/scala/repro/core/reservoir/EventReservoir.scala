@@ -48,7 +48,8 @@ final case class ReservoirConfig(
 
 /** The event reservoir (§4.1.1): stores *all* events of one task processor,
   * with only a tiny in-memory part — the open chunk plus the cached chunks
-  * under each window iterator — regardless of window size.
+  * under each window iterator — regardless of window size or of the
+  * stream's history.
   *
   * It is an append-only log in arrival order whose timestamps never
   * decrease. The late rule, [[LatePolicy.place]], is applied once, at
@@ -62,19 +63,26 @@ final case class ReservoirConfig(
   * number of finalized chunks.
   *
   * Windows read events through [[ReservoirIterator]]s; serving a persisted
-  * chunk prefetches the next one.
+  * chunk prefetches the next one. Retention: the task plan reports the
+  * chunk its slowest iterator stands on ([[ChunkCache.retainFrom]]), and
+  * the cache drops every chunk below it and caches none there, since no
+  * window iterator reads one again; chunks from it on are cached up to
+  * `cacheChunks`, least recently used first out. A later read below it (a
+  * backfill) loads the chunk from disk.
   */
 final class EventReservoir(val dir: java.nio.file.Path,
                            val config: ReservoirConfig,
                            val registry: SchemaRegistry) {
 
+  /** The thread [[io]] runs on, once started. */
+  @volatile private var ioThread: Thread = null
   /** The task's one I/O thread: chunk writes run on it in chunk-id order,
     * chunk prefetches behind the writes queued before them, and a task
     * processor runs the asynchronous half of its checkpoints on it, after
     * the writes of the chunks the checkpoint's cut finalized.
     */
   private[core] val io: ExecutorService = Executors.newSingleThreadExecutor { r =>
-    val t = new Thread(r, "task-io"); t.setDaemon(true); t
+    val t = new Thread(r, "task-io"); t.setDaemon(true); ioThread = t; t
   }
   private[reservoir] var store = new ChunkStore(dir, config.chunksPerFile, registry)
   val cache = new ChunkCache(config.cacheChunks, id => store.load(id), io)
@@ -261,8 +269,24 @@ final class EventReservoir(val dir: java.nio.file.Path,
   /** Flushes, then stops the I/O thread once its queue has run. */
   def close(): Unit = try flush() finally {
     io.shutdown()
-    io.awaitTermination(30, TimeUnit.SECONDS)
+    awaitIoThread()
     store.close()
+  }
+
+  /** Drops the reservoir as a crash would: the I/O thread stops without
+    * running the chunk writes and jobs queued on it (a running one is
+    * interrupted), and the files close. The open chunk is never written.
+    */
+  private[core] def abort(): Unit = {
+    io.shutdownNow()
+    awaitIoThread()
+    store.close()
+  }
+
+  /** Waits until the I/O thread, once [[io]] is shut down, has ended. */
+  private def awaitIoThread(): Unit = {
+    val t = ioThread
+    if (t ne null) t.join(TimeUnit.SECONDS.toMillis(30))
   }
 }
 

@@ -19,11 +19,14 @@ import scala.collection.mutable
   * undelivered event costs one comparison. It reads the next chunk
   * ([[EventReservoir.read]]) only once it has consumed a finalized chunk.
   */
-final class ReservoirIterator private[reservoir] (res: EventReservoir, private var chunkId: Long) {
+final class ReservoirIterator private[reservoir] (res: EventReservoir, private var id: Long) {
 
-  private var events: collection.IndexedSeq[Event] = res.read(chunkId)
+  private var events: collection.IndexedSeq[Event] = res.read(id)
   /** Index of the next event in `events`. */
   private var pos: Int = 0
+
+  /** The id of the chunk this iterator stands on. */
+  private[core] def chunkId: Long = id
 
   /** Feeds `f` (and consumes) every remaining event with ts < boundTs, in order. */
   def foreachBelow(boundTs: Long)(f: Event => Unit): Unit =
@@ -33,8 +36,8 @@ final class ReservoirIterator private[reservoir] (res: EventReservoir, private v
         pos += 1
         f(e)
       }
-      if (pos < events.size || !res.isFinalized(chunkId)) return
-      chunkId += 1; events = res.read(chunkId); pos = 0
+      if (pos < events.size || !res.isFinalized(id)) return
+      id += 1; events = res.read(id); pos = 0
     }
 
   /** Returns (and consumes) every remaining event with ts < boundTs. */

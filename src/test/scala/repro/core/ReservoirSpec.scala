@@ -398,34 +398,26 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
-  test("memory independence: only head/tail chunks are cached for a huge span") {
-    val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 32, chunksPerFile = 8, cacheChunks = 4))
-    (0 until 3200).foreach(i => r.append(mkEvent(i.toLong, i.toLong)))
-    r.flush()
-    val tail = r.iterator()
-    tail.advanceTo(5) // touches chunk 0 only
-    r.drainIo()
-    assert(r.cache.size <= 4, s"cache holds ${r.cache.size} chunks") // not the 100 persisted
-    r.close()
-  }
-
   test("closing a reservoir stops its task-io thread") {
     // threads started on behalf of the reservoirs join the worker's group
     val group = new ThreadGroup("reservoir-close")
+    def ioThreads(): Seq[Thread] = {
+      val threads = new Array[Thread](group.activeCount() + 16)
+      threads.take(group.enumerate(threads)).filter(_.getName == "task-io").toSeq
+    }
     val work = new java.util.concurrent.FutureTask[Unit](() =>
-      (0 until 20).foreach { _ =>
+      (0 until 20).foreach { n =>
         val r = mkReservoir()
         (0 until 40).foreach(i => r.append(mkEvent(i.toLong, i.toLong)))
         r.flush()
         assert(r.iterator().advanceTo(Long.MaxValue).size == 40) // crossings prefetch
+        val before = ioThreads()
+        // every earlier reservoir's thread ended at its close
+        assert(before.size == 1, s"reservoir $n: ${before.size} task-io threads before its close")
         r.close()
+        assert(ioThreads().isEmpty && !before.head.isAlive, s"reservoir $n: task-io outlives close()")
       })
     new Thread(group, work).start()
-    work.get()
-    val threads = new Array[Thread](group.activeCount() + 16)
-    val ioThreads = threads.take(group.enumerate(threads)).filter(_.getName == "task-io")
-    ioThreads.foreach(_.join(2000))
-    assert(ioThreads.forall(!_.isAlive),
-      s"${ioThreads.count(_.isAlive)} task-io threads outlive their closed reservoirs")
+    try work.get() catch { case e: java.util.concurrent.ExecutionException => throw e.getCause }
   }
 }

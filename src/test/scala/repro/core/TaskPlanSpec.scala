@@ -44,11 +44,21 @@ class TaskPlanSpec extends AnyFunSuite {
 
   private def q(sql: String, name: String): RailgunQuery = RailgunParser.parse(sql, name)
 
+  /** Feeds `events` through a new plan. With `drained`, each event's chunk
+    * writes and prefetches finish before the next event, so an iterator
+    * reads every finalized chunk through the cache.
+    */
   private def run(queries: Seq[RailgunQuery], events: Seq[Event],
-                  cfg: ReservoirConfig = ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8)) = {
+                  cfg: ReservoirConfig = ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 8),
+                  drained: Boolean = false) = {
     val (res, store) = fixture(cfg)
     val plan = new TaskPlan(queries, res, store)
-    val out = events.map { e => res.append(e); plan.onEvent(e) }
+    val out = events.map { e =>
+      res.append(e)
+      val results = plan.onEvent(e)
+      if (drained) res.drainIo()
+      results
+    }
     (plan, out, res, store)
   }
 
@@ -343,6 +353,65 @@ class TaskPlanSpec extends AnyFunSuite {
     // one read per chunk an iterator stands on: its first chunk plus one per crossing
     assert(st.hits + st.misses <= crossings + plan.iteratorCount,
       s"${st.hits + st.misses} chunk-cache reads for $crossings crossings of ${plan.iteratorCount} iterators over ${events.size} events")
+    res.close(); store.close()
+  }
+
+  // ---- chunk retention -----------------------------------------------------------
+
+  test("the chunk cache holds only the chunks between the slowest and fastest cursors") {
+    // one 50 ms window over a stream about 160 windows long, at the default cacheChunks
+    val chunkSize = 8
+    val cfg = ReservoirConfig(chunkSizeEvents = chunkSize, chunksPerFile = 4)
+    val events = randomEvents(2000, seed = 21)
+    assert(events.last.ts - events.head.ts >= 10 * 50)
+    val query = q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 50 ms", "w")
+    val (_, out, res, store) = run(Seq(query), events, cfg, drained = true)
+    // the head stands on the open chunk, the tail on the chunk of the oldest event in the window
+    val oldest = events.indexWhere(_.ts > events.last.ts - 50)
+    val spanned = events.size / chunkSize - oldest / chunkSize + 1
+    assert(res.persistedChunks > cfg.cacheChunks, "the LRU cap alone would bound the cache")
+    assert(res.cache.size <= spanned + 2,
+      s"cache holds ${res.cache.size} chunks; the cursors span $spanned of ${res.persistedChunks}")
+    assert(res.cacheStats.evictions > 0)
+    val windows = TestKit.bruteSliding(events, 50, _.str("cardId"))
+    events.indices.foreach(i => assert(out(i).head.value.contains(TestKit.count(windows(i))), s"event $i"))
+    res.close(); store.close()
+  }
+
+  test("misaligned windows under a cache larger than their span load no persisted chunk twice") {
+    // 40 delayed 50 ms windows, 80 cursors spanning 558 ms, about 35 chunks
+    val queries = (0 until 40).map { i =>
+      q(s"SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 50 ms delayed by ${13 * i + 1} ms", s"w$i")
+    }
+    val (_, _, res, store) = run(queries, randomEvents(800, seed = 3, tsStep = 3),
+      ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4, cacheChunks = 64), drained = true)
+    val st = res.cacheStats
+    assert(st.evictions > 0, "no chunk was dropped behind the slowest cursor")
+    // every load is a miss or a prefetch
+    assert(st.misses + st.prefetches <= res.persistedChunks,
+      s"${st.misses} misses + ${st.prefetches} prefetches for ${res.persistedChunks} persisted chunks")
+    res.close(); store.close()
+  }
+
+  test("a longer window added after its chunks were dropped backfills them from disk") {
+    val events = randomEvents(400, seed = 31)
+    val short = q("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 30 ms", "short")
+    val (before, after) = events.splitAt(300)
+    val (first, _, res, store) = run(Seq(short), before, ReservoirConfig(chunkSizeEvents = 8, chunksPerFile = 4),
+      drained = true)
+    assert(res.cacheStats.evictions > 0, "no chunk was dropped behind the slowest cursor")
+    val missesBefore = res.cacheStats.misses
+    // register a 400 ms window, as TaskProcessor.addQuery does
+    val long = q("SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 400 ms", "long")
+    first.flushState()
+    val plan = new TaskPlan(Seq(short, long), res, store, backfillFor = Set("long"))
+    assert(res.cacheStats.misses > missesBefore, "the backfill read no chunk from disk")
+    val out = after.map { e => res.append(e); plan.onEvent(e) }
+    val windows = TestKit.bruteSliding(events, 400, _.str("cardId"))
+    after.indices.foreach { i =>
+      assert(TestKit.approxEq(out(i).find(_.query == "long").get.value, TestKit.sum(windows(300 + i), "amount")),
+        s"long @ ${300 + i}")
+    }
     res.close(); store.close()
   }
 

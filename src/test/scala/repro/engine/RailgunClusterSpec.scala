@@ -9,8 +9,9 @@ import repro.core.query.RailgunParser
 import repro.messaging.{MiniKafka, Record, TopicPartition}
 import repro.spark.Payments
 
+import java.io.FileOutputStream
 import java.nio.file.{Files, Path}
-import java.util.concurrent.FutureTask
+import java.util.concurrent.{CountDownLatch, ExecutionException, FutureTask, TimeUnit}
 import scala.util.Random
 
 /** End-to-end Railgun over the in-process substrate: Figure 3's full event
@@ -138,30 +139,51 @@ class RailgunClusterSpec extends AnyFunSuite {
     val work = new FutureTask[Unit](() => {
       val cluster = mkCluster(nodes = 3, unitsPerNode = 1, rf = 2, baseDir)
       cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+      val release = new CountDownLatch(1)
+      var held = Seq.empty[TaskProcessor]
       events.zipWithIndex.foreach { case (e, i) =>
+        if (i == 90) {
+          // each processor of node1 starts a checkpoint whose I/O job stops
+          // before it writes the frozen memtable, and later chunk writes
+          // queue behind it: node1 fails with a store flush and chunk writes
+          // outstanding, which a close would run
+          held = cluster.allUnits.filter(_.nodeId == "node1").flatMap(_.taskProcessors.values)
+          assert(held.nonEmpty)
+          val entered = new CountDownLatch(held.size)
+          held.foreach { p =>
+            p.openManifest = path => {
+              entered.countDown()
+              release.await(5, TimeUnit.SECONDS)
+              new FileOutputStream(path.toFile)
+            }
+            p.checkpoint()
+          }
+          entered.await()
+        }
         if (i == 100) {
-          cluster.allUnits.foreach(_.checkpointAll()) // each live processor has started its I/O thread
           val (failed, survivors) = cluster.allUnits.partition(_.nodeId == "node1")
           assert(failed.forall(_.staleProcessors.isEmpty))
-          val held = failed.map(_.taskProcessors.size).sum
+          assert(failed.flatMap(_.taskProcessors.values).toSet == held.toSet)
           val before = ioThreads()
-          assert(held > 0)
+          def written() = held.map(p => (p.reservoirRef.persistedChunks, p.storeRef.flushes))
+          val writtenBefore = written()
           cluster.failNode("node1")
+          assert(written() == writtenBefore, "failNode wrote chunks or flushed stores of the failed processors")
           failed.foreach(u => assert(!Files.exists(baseDir.resolve(u.unitId)), s"${u.unitId} keeps its data"))
           survivors.foreach(u => assert(Files.exists(baseDir.resolve(u.unitId))))
-          val deadline = System.nanoTime() + 5000000000L
-          while (before.count(!_.isAlive) < held && System.nanoTime() < deadline) Thread.sleep(10)
-          assert(before.count(!_.isAlive) == held, s"${before.count(!_.isAlive)} of $held task-io threads stopped")
+          assert(before.count(!_.isAlive) == held.size,
+            s"${before.count(!_.isAlive)} of ${held.size} task-io threads stopped")
         }
         val r = cluster.process("payments", e)
         assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
         assert(TestKit.approxEq(r.find(_.agg == "sum(amount)").get.value, TestKit.sum(byCard(i), "amount")),
           s"sum @ $i")
       }
+      release.countDown()
       cluster.close()
     })
     new Thread(group, work).start()
-    work.get()
+    try work.get() catch { case e: ExecutionException => throw e.getCause }
   }
 
   test("failure without replicas: state recovers from checkpoint + log replay") {

@@ -160,7 +160,6 @@ class TaskProcessorSpec extends AnyFunSuite {
     new Thread(group, work).start()
     val started = work.get()
     assert(started.map(_.getName) == Seq("task-io"), s"threads started: ${started.map(_.getName)}")
-    started.foreach(_.join(2000))
     assert(started.forall(!_.isAlive), "task-io outlives close()")
     assert(mismatches(evs, answers.toSeq, queries).isEmpty)
   }

@@ -398,6 +398,17 @@ class ReservoirSpec extends AnyFunSuite {
     r.close()
   }
 
+  test("memory independence: only head/tail chunks are cached for a huge span") {
+    val r = mkReservoir(ReservoirConfig(chunkSizeEvents = 32, chunksPerFile = 8, cacheChunks = 4))
+    (0 until 3200).foreach(i => r.append(mkEvent(i.toLong, i.toLong)))
+    r.flush()
+    val tail = r.iterator()
+    tail.advanceTo(5) // touches chunk 0 only
+    r.drainIo()
+    assert(r.cache.size <= 4, s"cache holds ${r.cache.size} chunks") // not the 100 persisted
+    r.close()
+  }
+
   test("closing a reservoir stops its task-io thread") {
     // threads started on behalf of the reservoirs join the worker's group
     val group = new ThreadGroup("reservoir-close")

@@ -9,6 +9,7 @@ import repro.messaging.{Consumer, MiniKafka, Producer, TopicPartition}
 
 import java.nio.file.Path
 import scala.collection.mutable
+import scala.util.{Failure, Success, Try}
 
 /** The front-end layer (§3.1): receives client events, routes them to every
   * partitioner topic of their stream, and collects the per-topic aggregation
@@ -41,20 +42,27 @@ final class FrontEnd(kafka: MiniKafka, replyTopic: String) {
     meta.partitioners.size
   }
 
+  /** Reply records skipped because they do not decode as a reply. */
+  var repliesSkipped: Long = 0L
+
   /** Steps 5–6 of Figure 3: drain the reply topic; events whose every topic
-    * answered become complete and are returned by [[takeCompleted]].
+    * answered become complete and are returned by [[takeCompleted]]. A
+    * record that does not decode is skipped and counted.
     */
   def pollReplies(): Unit = {
     replyConsumer.poll(1024).foreach { rec =>
-      val reply = Codecs.replyFromBytes(rec.value)
-      pending.get(reply.eventId).foreach { case (awaiting, collected) =>
-        if (awaiting.remove(reply.topic)) {
-          collected ++= reply.results
-          if (awaiting.isEmpty) {
-            done(reply.eventId) = collected.toVector
-            pending.remove(reply.eventId)
+      Try(Codecs.replyFromBytes(rec.value)) match {
+        case Success(reply) =>
+          pending.get(reply.eventId).foreach { case (awaiting, collected) =>
+            if (awaiting.remove(reply.topic)) {
+              collected ++= reply.results
+              if (awaiting.isEmpty) {
+                done(reply.eventId) = collected.toVector
+                pending.remove(reply.eventId)
+              }
+            }
           }
-        }
+        case Failure(_) => repliesSkipped += 1
       }
     }
   }

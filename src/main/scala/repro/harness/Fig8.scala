@@ -33,9 +33,19 @@ object Fig8 {
 
   private val sumAgg = Seq(AggSpec(AggKind.Sum, Some("amount")))
 
-  /** Per-event service samples of the hopping baseline at a given hop. */
+  /** A row of the table and the deterministic work behind its service
+    * times: state-store accesses per event for a hopping row, stored events
+    * scanned per arrival for the rescan, 0 for Railgun.
+    */
+  final case class Row(timed: Harness.Row, workPerEvent: Double) {
+    def render: String = f"${timed.render} work/ev=$workPerEvent%.1f"
+  }
+
+  /** Per-event service samples of the hopping baseline at a given hop, and
+    * its state-store accesses per measured event.
+    */
   def hoppingServiceSamples(hopMs: Long, warmupN: Int, measureN: Int,
-                            nCards: Long = 50000L): Array[Double] = {
+                            nCards: Long = 50000L): (Array[Double], Double) = {
     val dir = Files.createTempDirectory("bench-hop")
     try {
       val store = new LsmStore(dir.resolve("st"), memtableLimit = 1 << 16)
@@ -44,7 +54,9 @@ object Fig8 {
         val events = Payments.events(warmupN + measureN, Rate, nCards, seed = 101L + hopMs)
         (0 until warmupN).foreach(_ => eng.onEvent(events.next()))
         Harness.settle()
-        Harness.timeEach(events)(eng.onEvent)
+        val ops0 = eng.stateOps
+        val samples = Harness.timeEach(events)(eng.onEvent)
+        (samples, (eng.stateOps - ops0).toDouble / measureN)
       } finally store.close()
     } finally TaskProcessor.deleteTree(dir)
   }
@@ -64,32 +76,34 @@ object Fig8 {
   /** Per-event samples of the Flink "custom fraud solution" [21]: per-event
     * full rescan of the stored window. The window population is preloaded
     * (without the quadratic warmup) to its steady-state order of magnitude:
-    * a 60-min window at 500 ev/s holds 1.8 M events; 1 M preloaded events
-    * over 100 hot cards give ~10 k stored items rescanned per arrival.
+    * a 60-min window at 500 ev/s holds 1.8 M events; 1.4 M preloaded events
+    * over 100 hot cards give about 17 k stored items rescanned per arrival,
+    * returned with the samples.
     */
   def scanServiceSamples(preloadN: Int, measureN: Int,
-                         nCards: Long = 100L): Array[Double] = {
+                         nCards: Long = 100L): (Array[Double], Double) = {
     val eng = new PerEventScanEngine(WindowMs, sumAgg, "cardId")
     val events = Payments.events(preloadN + measureN, Rate, nCards, seed = 107L)
     (0 until preloadN).foreach(_ => eng.preload(events.next()))
     Harness.settle()
-    Harness.timeEach(events)(eng.onEvent)
+    val samples = Harness.timeEach(events)(eng.onEvent)
+    (samples, eng.eventsScanned.toDouble / measureN)
   }
 
   /** Runs the whole table. Sample counts chosen so the expensive small-hop
     * configs stay tractable; QueueSim replays the samples for 200k arrivals.
     */
   def run(warmupHopping: Int = 300, measureHopping: Int = 300,
-          warmupRailgun: Int = 20000, measureRailgun: Int = 2000): Seq[Harness.Row] = {
+          warmupRailgun: Int = 20000, measureRailgun: Int = 2000): Seq[Row] = {
     val rows = Hops.map { case (label, hop) =>
-      val svc = Harness.dropWarmup(hoppingServiceSamples(hop, warmupHopping, measureHopping), 30)
-      Harness.simulate(label, svc, Rate)
+      val (svc, ops) = hoppingServiceSamples(hop, warmupHopping, measureHopping)
+      Row(Harness.simulate(label, Harness.dropWarmup(svc, 30), Rate), ops)
     }
     val railgun = Harness.simulate("railgun sliding 60min",
       Harness.dropWarmup(railgunServiceSamples(warmupRailgun, measureRailgun)), Rate)
-    val scan = Harness.simulate("flink custom rescan [21]",
-      Harness.dropWarmup(scanServiceSamples(1400000, 300), 30), Rate)
-    rows :+ railgun :+ scan
+    val (scanSvc, scanned) = scanServiceSamples(1400000, 300)
+    val scan = Harness.simulate("flink custom rescan [21]", Harness.dropWarmup(scanSvc, 30), Rate)
+    rows :+ Row(railgun, 0) :+ Row(scan, scanned)
   }
 
   def main(args: Array[String]): Unit = {

@@ -331,6 +331,26 @@ class RailgunClusterSpec extends AnyFunSuite {
     cluster.close()
   }
 
+  test("a reply record that does not decode is skipped and counted; the replies after it are read") {
+    val cluster = mkCluster(nodes = 2, unitsPerNode = 1, rf = 2)
+    cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
+    val events = mkEvents(80, seed = 31)
+    val byCard = TestKit.bruteSliding(events, 300, _.str("cardId"))
+    val producer = cluster.kafka.producer()
+    val unregistered = java.nio.ByteBuffer.allocate(12).putLong(1L).putInt(Int.MaxValue).array()
+    events.zipWithIndex.foreach { case (e, i) =>
+      // between the replies of events 20 and 21, and of 40 and 41
+      if (i == 21) producer.sendTo(cluster.replyTopic, 0, "x", Array[Byte](1, 2, 3))
+      if (i == 41) producer.sendTo(cluster.replyTopic, 0, "x", unregistered)
+      val r = cluster.process("payments", e)
+      assert(r.find(_.agg == "count(*)").get.value.contains(TestKit.count(byCard(i))), s"count @ $i")
+      assert(TestKit.approxEq(r.find(_.agg == "sum(amount)").get.value,
+        TestKit.sum(byCard(i), "amount")), s"sum @ $i")
+    }
+    assert(cluster.frontEnd.repliesSkipped == 2)
+    cluster.close()
+  }
+
   test("an event lacking a field the plan reads is skipped and counted; the unit keeps running") {
     val cluster = mkCluster(nodes = 1, unitsPerNode = 1, rf = 1)
     cluster.addQuery("q", "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 300 ms")
